@@ -340,22 +340,9 @@ def _diagonalize_form(K):
 
 
 def _independent_subset(ctx, vecs, want):
-    rows, keep = [], []
-    for v in vecs:
-        r = list(v)
-        for prow, piv in rows:
-            c = r[piv]
-            if not c.is_zero():
-                r = [a - c * b for a, b in zip(r, prow)]
-        piv = next((t for t, a in enumerate(r) if not a.is_zero()), None)
-        if piv is None:
-            continue
-        inv = r[piv].inv()
-        rows.append(([a * inv for a in r], piv))
-        keep.append(v)
-        if len(keep) == want:
-            break
-    return keep
+    """The first `want` of vecs that are independent of those before them."""
+    _, pivots = _rref(ctx, list(zip(*vecs)))
+    return [vecs[c] for c in pivots[:want]]
 
 
 def _sqrt_table(ctx):

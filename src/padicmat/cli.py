@@ -16,7 +16,6 @@ from .experiments import (
     ExperimentConfig,
     SCHEMA_VERSION,
     _shard_rng,
-    histogram_csv,
     run_fulman_consistency,
     run_onestep_check,
     run_single_trace,
@@ -27,7 +26,8 @@ from .matrix_groups import enumerate_group, sample_haar
 from .polynomials import HayesClassGroup, hayes_characters, monomial
 
 
-def _common_flags(sub, samples=False, seed=False, trace_shape=False):
+def _common_flags(sub, samples=False, seed=False, trace_shape=False,
+                  mode=False):
     sub.add_argument("--family", required=True,
                      choices=["gl", "sl", "sp", "so", "u"])
     sub.add_argument("--n", type=int, required=True)
@@ -35,12 +35,12 @@ def _common_flags(sub, samples=False, seed=False, trace_shape=False):
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument("--sign", type=int, default=1, choices=[1, -1])
-    sub.add_argument("--mode", choices=["montecarlo", "exact"],
-                     default="montecarlo")
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", help="write the JSON report to this path")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--config", help="key:value file; flags win")
+    if mode:
+        sub.add_argument("--mode", choices=["montecarlo", "exact"],
+                         default="montecarlo")
     if samples:
         sub.add_argument("--samples", type=int, default=1000)
     if seed:
@@ -59,17 +59,17 @@ def build_parser():
     _common_flags(s, samples=True, seed=True)
 
     s = subs.add_parser("tv", help="trace-datum equidistribution TV")
-    _common_flags(s, samples=True, seed=True, trace_shape=True)
+    _common_flags(s, samples=True, seed=True, trace_shape=True, mode=True)
 
     s = subs.add_parser("onestep", help="one-step conditional check")
-    _common_flags(s, samples=True, seed=True, trace_shape=True)
+    _common_flags(s, samples=True, seed=True, trace_shape=True, mode=True)
 
     s = subs.add_parser("congruence", help="trace congruence violations")
     _common_flags(s, samples=True, seed=True)
     s.add_argument("--i-max", type=int)
 
     s = subs.add_parser("single-trace", help="TV of a single power trace")
-    _common_flags(s, samples=True, seed=True)
+    _common_flags(s, samples=True, seed=True, mode=True)
     s.add_argument("--r", type=int, required=True)
 
     s = subs.add_parser("fulman", help="class probabilities vs enumeration")
@@ -121,15 +121,13 @@ def _experiment_config(args, trace_shape=False, mode=None):
     return ExperimentConfig(
         args.family, size, args.p, m=args.m, k=args.k, sign=args.sign,
         d1=d1, d2=d2, samples=getattr(args, "samples", 0),
-        seed=getattr(args, "seed", None), mode=mode or args.mode,
+        seed=getattr(args, "seed", None),
+        mode=mode or getattr(args, "mode", "montecarlo"),
         i_max=getattr(args, "i_max", None))
 
 
-def _emit(args, report, hist=None):
-    if getattr(args, "format", "json") == "csv" and hist is not None:
-        text = histogram_csv(hist)
-    else:
-        text = json.dumps(report, indent=2, default=str) + "\n"
+def _emit(args, report):
+    text = json.dumps(report, indent=2, default=str) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -183,7 +181,7 @@ def dispatch(argv):
         if args.cmd == "image-check":
             cfg = _experiment_config(args)
             spec = cfg.group_spec()
-            rng = _shard_rng(cfg.seed if cfg.seed is not None else 0, 0)
+            rng = _shard_rng(cfg.seed, 0)
             fails = []
             for _ in range(cfg.samples):
                 ok, rep = verify_image(sample_haar(spec, rng), spec)

@@ -15,7 +15,13 @@ from fractions import Fraction
 
 from .char_derivative import WittClass
 from .galois_rings import RingContext
-from .matrix_groups import Matrix, char_poly, _rref
+from .matrix_groups import (
+    Matrix,
+    char_poly,
+    _field_index,
+    _field_tables,
+    _rref_tab,
+)
 from .polynomials import (
     Poly,
     factor,
@@ -140,10 +146,6 @@ def order_o(n, sign, q):
     for i in range(1, l):
         out *= q ** (2 * i) - 1
     return out
-
-
-def order_so(n, sign, q):
-    return order_o(n, sign, q) // 2
 
 
 def order_u(n, q):
@@ -300,8 +302,8 @@ def _eval_poly_at_matrix(f, M):
 
 
 def _matrix_rank(M):
-    rows = [[M.entry(i, j) for j in range(M.n)] for i in range(M.n)]
-    red, _ = _rref(M.ctx, rows)
+    tab = _field_tables(M.ctx)
+    red, _ = _rref_tab(tab, _field_index(M.ctx, M.a).tolist())
     return len(red)
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conjugacy import class_of_matrix_gl, family_prob, fulman_prob_gl
-from .galois_rings import GRElem, RingContext
+from .conjugacy import class_of_matrix_gl, fulman_prob_gl
+from .galois_rings import RingContext
 from .matrix_groups import (
     GroupSpec,
     Matrix,
@@ -32,7 +32,6 @@ from .matrix_groups import (
 from .polynomials import (
     datum_value_count,
     hayes_label,
-    monomial,
     trace_datum_of,
     x_poly,
 )
@@ -310,34 +309,14 @@ def run_trace_congruence(cfg):
 
 def _trace_coeff_rows(M, i_max):
     """Coefficient vectors of tr(M^i), i = 1..i_max, as an int64 array."""
-    ctx = M.ctx
-    n, m, mod = M.n, ctx.m, ctx.mod
-    out = np.empty((i_max, m), dtype=np.int64)
+    ctx, n = M.ctx, M.n
+    out = np.empty((i_max, ctx.m), dtype=np.int64)
     diag = np.arange(n)
-    if m == 1:
-        a = M.a[:, :, 0]
-        P = np.eye(n, dtype=np.int64)
-        for r in range(i_max):
-            P = (P @ a) % mod
-            out[r, 0] = np.trace(P) % mod
-        return out
-    red = ctx._red
-    a = M.a
-    P = np.zeros((n, n, m), dtype=np.int64)
-    P[diag, diag, 0] = 1
+    P = M.a
     for r in range(i_max):
-        full = np.zeros((n, n, 2 * m - 1), dtype=np.int64)
-        for s in range(m):
-            for t in range(m):
-                full[:, :, s + t] += P[:, :, s] @ a[:, :, t] % mod
-        P = (full % mod) @ red % mod
-        out[r] = P[diag, diag].sum(axis=0) % mod
+        out[r] = P[diag, diag].sum(axis=0) % ctx.mod
+        P = ctx.mat_mul(P, M.a)
     return out
-
-
-def _power_traces(M, i_max):
-    for row in _trace_coeff_rows(M, i_max):
-        yield GRElem(M.ctx, row)
 
 
 def enumerate_lie_fq(spec):

@@ -168,16 +168,36 @@ class RingContext:
     # ---- vectorized coefficient helpers (arrays of shape (..., m)) ----
 
     def vec_mul(self, a, b):
+        """Entrywise ring product; the leading axes broadcast."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        m = self.m
-        if m == 1:
+        if self.m == 1:
             return (a * b) % self.mod
-        full = np.zeros(a.shape[:-1] + (2 * m - 1,), dtype=np.int64)
+        return self._product(a, b, np.multiply)
+
+    def mat_mul(self, a, b):
+        """Matrix product of (..., r, s, m) and (..., s, t, m) arrays.
+
+        Needs s * p^(2k) < 2^63 (and (2m - 1) * p^(2k) < 2^63 for m > 1).
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.m == 1:
+            return (a[..., 0] @ b[..., 0] % self.mod)[..., None]
+        return self._product(a, b, np.matmul)
+
+    def _product(self, a, b, op):
+        # op on every coefficient pair, collected by degree in x, then the
+        # degrees m..2m-2 folded back through the defining polynomial
+        m, mod = self.m, self.mod
+        full = None
         for i in range(m):
             for j in range(m):
-                full[..., i + j] += (a[..., i] * b[..., j]) % self.mod
-        return (full % self.mod) @ self._red % self.mod
+                term = op(a[..., i], b[..., j]) % mod
+                if full is None:
+                    full = np.zeros(term.shape + (2 * m - 1,), dtype=np.int64)
+                full[..., i + j] += term
+        return (full % mod) @ self._red % mod
 
     def vec_pow(self, a, e):
         result = np.zeros(self.m, dtype=np.int64)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .galois_rings import GRElem, RingContext, ContextMismatchError
+from .galois_rings import GRElem, ContextMismatchError
 
 
 class DivisibilityViolation(ValueError):

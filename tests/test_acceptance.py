@@ -3,6 +3,7 @@
 Run with `pytest -v` to see the per-criterion pass/fail lines.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -366,8 +367,10 @@ def test_criterion_10_sampler_exactness():
         group = enumerate_group(spec)
         index = {M.encode(): i for i, M in enumerate(group)}
         counts = [0] * len(group)
-        rng = random.Random(hash((spec.family, spec.sign, spec.ctx.k)) &
-                            0xFFFF)
+        # a stable digest of the spec, as in experiments._shard_rng: the
+        # built-in str hash is salted per process
+        rng = random.Random(int(hashlib.sha256(
+            repr(spec).encode()).hexdigest(), 16))
         for _ in range(N):
             counts[index[sample_haar(spec, rng).encode()]] += 1
         pval = chisquare(counts).pvalue

@@ -253,6 +253,20 @@ class TestCli:
         assert cli.dispatch(["tv", "--family", "gl", "--n", "2",
                              "--p", "3", "--d", "1"]) == 2
 
+    def test_mode_only_where_read(self, capsys):
+        # congruence is Monte-Carlo only: --mode exact with no seed must not
+        # run from an unseeded stream
+        assert cli.dispatch(["congruence", "--family", "sp", "--n", "1",
+                             "--p", "3", "--k", "2", "--samples", "5",
+                             "--mode", "exact"]) == 2
+        assert cli.dispatch(["image-check", "--family", "gl", "--n", "2",
+                             "--p", "3", "--samples", "1", "--seed", "1",
+                             "--mode", "montecarlo"]) == 2
+        assert cli.dispatch(["tv", "--family", "gl", "--n", "2", "--p", "3",
+                             "--d", "1", "--samples", "5", "--seed", "1",
+                             "--format", "csv"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         p = tmp_path / "cfg.txt"
         p.write_text("family: gl\nn: 2\np: 3\nd: 1\nsamples: 200\nseed: 9\n")

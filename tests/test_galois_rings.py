@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,3 +193,28 @@ def test_power_consistency(gr92):
             acc = acc * a
         if a.is_unit():
             assert a ** -1 == a.inv()
+
+
+@pytest.mark.parametrize("pmk", [(3, 1, 2), (3, 2, 1), (3, 2, 2), (5, 3, 1)])
+def test_vec_mul_and_mat_mul_broadcast(pmk):
+    ctx = RingContext(*pmk)
+    elems = list(ctx.elements())[:9]
+    coeffs = np.array([e.coeffs for e in elems])
+    table = ctx.vec_mul(coeffs[:, None], coeffs[None, :])
+    assert table.shape == (9, 9, ctx.m)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert GRElem(ctx, table[i, j]) == a * b
+    rng = random.Random(17)
+    A = np.array([[ctx.random_elem(rng).coeffs for _ in range(3)]
+                  for _ in range(2)])
+    Bs = np.array([[[ctx.random_elem(rng).coeffs for _ in range(4)]
+                    for _ in range(3)] for _ in range(5)])
+    prod = ctx.mat_mul(A, Bs)
+    assert prod.shape == (5, 2, 4, ctx.m)
+    for s in range(5):
+        for i in range(2):
+            for j in range(4):
+                want = sum((GRElem(ctx, A[i, t]) * GRElem(ctx, Bs[s, t, j])
+                            for t in range(3)), ctx.zero())
+                assert GRElem(ctx, prod[s, i, j]) == want

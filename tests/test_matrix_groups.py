@@ -24,6 +24,7 @@ from padicmat.matrix_groups import (
     sample_fq,
     sample_haar,
     symplectic_form,
+    _field_tables,
 )
 from padicmat.polynomials import Poly, from_int_coeffs
 
@@ -337,6 +338,32 @@ def test_sample_haar_membership_all_families():
             M = sample_haar(spec, rng)
             assert M.ctx == ctx
             assert spec.is_member(M), (fam, size, sign)
+
+
+@pytest.mark.parametrize("pm", [(7, 1), (3, 2), (5, 2), (3, 3)])
+def test_field_tables_match_element_arithmetic(pm):
+    ctx = RingContext(*pm, 1)
+    tab = _field_tables(ctx)
+    elems = list(ctx.elements())
+    assert [list(c) for c in tab.coeffs] == [list(e.coeffs) for e in elems]
+    for i, a in enumerate(elems):
+        assert elems[tab.neg[i]] == -a
+        assert tab.inv[i] == -1 if i == 0 else elems[tab.inv[i]] == a.inv()
+        assert elems[tab.conj[i]] == (a.tau() if ctx.m % 2 == 0 else a)
+        for j, b in enumerate(elems):
+            assert elems[tab.add[i][j]] == a + b
+            assert elems[tab.mul[i][j]] == a * b
+
+
+def test_caches_follow_the_defining_polynomial():
+    # F_9 and GR(9, 2) built on x^2 + 2x + 2 instead of the default x^2 + 1:
+    # the field tables and the Lie data of the default ring must not leak in
+    rng = random.Random(11)
+    sample_haar(GroupSpec("u", 2, G92), rng)
+    spec = GroupSpec("u", 2, RingContext(3, 2, 1, (2, 2, 1)))
+    assert all(spec.is_member(sample_fq(spec, rng)) for _ in range(20))
+    spec2 = GroupSpec("u", 2, RingContext(3, 2, 2, (2, 2, 1)))
+    assert all(spec2.is_member(sample_haar(spec2, rng)) for _ in range(5))
 
 
 def test_sample_haar_uniform_so2_level2():

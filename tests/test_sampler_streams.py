@@ -1,0 +1,40 @@
+"""Golden streams: sample_haar at fixed seeds returns fixed matrices.
+
+Each digest is the SHA-256 prefix of the `encode()` lines of eight
+consecutive samples drawn from one `random.Random(seed)`.  A change to the
+sampler, the isometry column completion, the Hensel section, the Lie fiber
+or the determinant used by the GL/SL rejection shows up here as a new
+stream.  U_2(F_121) has a residue field above 81 elements; GL_4(GR(9,2))
+decides unit determinants over F_9 through the characteristic polynomial.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from padicmat.galois_rings import RingContext
+from padicmat.matrix_groups import GroupSpec, sample_haar
+
+STREAMS = [
+    # family, size, (p, m, k), sign, seed, digest
+    ("sp", 4, (3, 1, 3), None, 2024, "a71ef2bfd9a72b25e8dcfbce6d6dce5e"),
+    ("so", 3, (3, 1, 2), 1, 2025, "139d2051cdb1afd1863d21495bca0bd3"),
+    ("so", 3, (3, 1, 2), -1, 2026, "d1fb810395f61245884fd6605dffc951"),
+    ("u", 2, (3, 2, 2), None, 2027, "2b494a4bdba2b582367b9e4a3d9e4446"),
+    ("u", 2, (11, 2, 1), None, 2028, "63142400546a999597b7eedd7dbecfce"),
+    ("gl", 4, (3, 2, 2), None, 2029, "3a19d15601864e8708f6338ad621f0ba"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,size,pmk,sign,seed,digest", STREAMS,
+    ids=["sp4-GR27", "so3+-GR9", "so3--GR9", "u2-GR9_2", "u2-F121",
+         "gl4-GR9_2"])
+def test_sample_haar_golden_stream(family, size, pmk, sign, seed, digest):
+    spec = GroupSpec(family, size, RingContext(*pmk), sign)
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(8):
+        h.update(sample_haar(spec, rng).encode().encode() + b"\n")
+    assert h.hexdigest()[:32] == digest
