@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 on pass, 1 on a failed check, 2 on usage errors.  Every
-report embeds the resolved configuration so a run can be reproduced from
-its own output.
+Exit codes: 0 on pass, 1 on a failed check, 2 on usage errors, 3 on an
+internal error (an ArithmeticError such as NonUnitError, or a
+RuntimeError), which also prints {"error": <type>, "message": <text>} on
+stdout.  Every report embeds the resolved configuration so a run can be
+reproduced from its own output.
 """
 
 from __future__ import annotations
@@ -214,6 +216,10 @@ def dispatch(argv):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as e:
+        print(json.dumps({"error": type(e).__name__, "message": str(e)}))
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
     return 2
 
 

@@ -10,14 +10,16 @@ Reiner characteristic-polynomial law) in rational arithmetic.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .char_derivative import WittClass
-from .galois_rings import RingContext
+from .galois_rings import GRElem, RingContext
 from .matrix_groups import (
-    Matrix,
-    char_poly,
+    char_poly_batch,
     _field_index,
     _field_tables,
     _rref_tab,
@@ -262,49 +264,80 @@ def _is_pm1(phi):
 
 def class_of_matrix_gl(M):
     """Conjugacy class datum of an invertible matrix over a field context."""
-    ctx = M.ctx
+    [(datum, _)] = class_census_gl(M.ctx, [M.a[None]]).values()
+    return datum
+
+
+def class_census_gl(ctx, blocks):
+    """Conjugacy classes of the invertible matrices in blocks over a field.
+
+    blocks is an iterable of (N, n, n, m) arrays.  Returns a dict mapping
+    each class's canonical string to (datum, count), in the order the
+    classes first appear.  The matrices are grouped by char poly, which is
+    factored once per census; for each prime phi with multiplicity e the
+    ranks of phi(M)^j fall by multiples of deg phi down to n - e deg phi,
+    and the drops divided by deg phi are the dual partition of phi's part.
+    """
     if ctx.k != 1:
         raise ValueError("class data live at the residue level")
-    g = char_poly(M)
-    if g.coeff(0).is_zero():
-        raise ValueError("matrix is not invertible")
-    entries = {}
-    for phi, e in factor(g):
-        P = _eval_poly_at_matrix(phi, M)
-        d = phi.degree
-        ranks = [M.n]
-        Q = Matrix.identity(ctx, M.n)
-        while True:
-            Q = Q * P
-            r = _matrix_rank(Q)
-            ranks.append(r)
-            if r == ranks[-2]:
-                break
-        # dual partition: lambda'_j = (rank drop at step j) / deg phi
-        dual = []
-        for j in range(1, len(ranks)):
-            drop = ranks[j - 1] - ranks[j]
-            if drop == 0:
-                break
-            if drop % d:
+    tab = _field_tables(ctx)
+    factored = {}  # char poly key -> its factorization, for this census
+    counts = collections.Counter()  # (char poly key, partitions) -> count
+    for a in blocks:
+        chars = char_poly_batch(ctx, a)
+        keys, which = np.unique(_field_index(ctx, chars), axis=0,
+                                return_inverse=True)
+        which = which.reshape(-1)  # numpy 2.0.0 returns it as (N, 1)
+        for u, key in enumerate(keys):
+            mask = which == u
+            key = key.tobytes()
+            if key not in factored:
+                g = Poly(ctx, [GRElem(ctx, c) for c in chars[np.argmax(mask)]])
+                if g.coeff(0).is_zero():
+                    raise ValueError("matrix is not invertible")
+                factored[key] = factor(g)
+            sub = a[mask]
+            parts = zip(*[_jordan_partitions(ctx, tab, sub, phi, e)
+                          for phi, e in factored[key]])
+            counts.update((key, lams) for lams in parts)
+    census = {}
+    for (key, lams), count in counts.items():
+        datum = ConjClassDatum("gl", ctx, {
+            phi: (Partition(lam), {})
+            for (phi, _), lam in zip(factored[key], lams)})
+        census[datum.canonical()] = (datum, count)
+    return census
+
+
+def _jordan_partitions(ctx, tab, a, phi, e):
+    """Parts of the partition at the prime phi (multiplicity e in the char
+    poly) for each matrix of the batch a, from the ranks of phi(M)^j."""
+    n, d = a.shape[-3], phi.degree
+    floor = n - e * d
+    eye = np.eye(n, dtype=np.int64)[:, :, None]
+    P = np.zeros_like(a)
+    for c in reversed(phi.coeffs):
+        P = (ctx.mat_mul(P, a) + eye * c.coeffs) % ctx.mod
+    duals = [[] for _ in range(len(a))]
+    ranks = [n] * len(a)
+    live = np.arange(len(a))
+    Q = P
+    while live.size:
+        going = np.zeros(live.size, dtype=bool)
+        for i, (t, rows) in enumerate(zip(live.tolist(),
+                                          _field_index(ctx, Q).tolist())):
+            r = len(_rref_tab(tab, rows)[0])
+            drop = ranks[t] - r
+            if drop % d or r < floor:
                 raise RuntimeError("rank profile not a multiple of deg phi")
-            dual.append(drop // d)
-        entries[phi] = (Partition(dual).dual(), {})
-    return ConjClassDatum("gl", ctx, entries)
-
-
-def _eval_poly_at_matrix(f, M):
-    ctx, n = M.ctx, M.n
-    acc = Matrix.zero(ctx, n)
-    for c in reversed(list(f.coeffs)):
-        acc = acc * M + Matrix.identity(ctx, n).scale(c)
-    return acc
-
-
-def _matrix_rank(M):
-    tab = _field_tables(M.ctx)
-    red, _ = _rref_tab(tab, _field_index(M.ctx, M.a).tolist())
-    return len(red)
+            if drop == 0:
+                raise RuntimeError("rank profile stops above n - e deg phi")
+            duals[t].append(drop // d)
+            ranks[t] = r
+            going[i] = r > floor
+        live = live[going]
+        Q = ctx.mat_mul(Q[going], P[live])
+    return [Partition(dual).dual().parts for dual in duals]
 
 
 # ---------------------------------------------------------------------------

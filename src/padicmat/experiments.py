@@ -17,12 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conjugacy import class_of_matrix_gl, fulman_prob_gl
+from .conjugacy import class_census_gl, fulman_prob_gl
 from .galois_rings import RingContext
 from .matrix_groups import (
     GroupSpec,
     Matrix,
     char_poly,
+    enumerate_blocks,
     enumerate_group,
     hensel_lift_section,
     lie_algebra_basis,
@@ -423,18 +424,10 @@ def run_fulman_consistency(cfg):
     ctx = cfg.context()
     if ctx.k != 1:
         raise ValueError("consistency check runs at the residue level")
-    spec = cfg.group_spec()
-    group = enumerate_group(spec)
-    order = len(group)
-    counts = {}
-    reps = {}
-    for M in group:
-        key = class_of_matrix_gl(M).canonical()
-        counts[key] = counts.get(key, 0) + 1
-        reps.setdefault(key, M)
+    census = class_census_gl(ctx, enumerate_blocks(cfg.group_spec()))
+    order = sum(count for _, count in census.values())
     mismatches = []
-    for key, count in counts.items():
-        datum = class_of_matrix_gl(reps[key])
+    for key, (datum, count) in census.items():
         pr = fulman_prob_gl(datum)
         if cfg.family == "gl":
             expected = pr
@@ -445,7 +438,7 @@ def run_fulman_consistency(cfg):
         if Fraction(count, order) != expected:
             mismatches.append(key)
     return {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
-            "order": order, "classes": len(counts),
+            "order": order, "classes": len(census),
             "mismatches": mismatches, "pass": not mismatches}
 
 
@@ -456,6 +449,6 @@ def group_order_at_level(spec):
         spec1 = GroupSpec(spec.family, spec.size, ctx1, sign=spec.sign)
     else:
         spec1 = GroupSpec(spec.family, spec.size, ctx1)
-    base = len(enumerate_group(spec1))
+    base = sum(len(block) for block in enumerate_blocks(spec1))
     dim = len(lie_algebra_basis(spec1))
     return base * spec.ctx.q ** ((spec.ctx.k - 1) * dim)

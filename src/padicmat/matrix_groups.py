@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 
 import numpy as np
 
@@ -244,28 +243,38 @@ def _det_bareiss(a):
 
 
 def char_poly(M):
-    """Monic char poly of M by Berkowitz (1984), valid over any GR(p^k, m).
+    """Monic char poly of M; the batch-of-one case of char_poly_batch."""
+    ctx = M.ctx
+    return Poly(ctx, [GRElem(ctx, x) for x in char_poly_batch(ctx, M.a)])
 
-    No divisions: the char poly of the leading (i+1)-block is T c, where c
-    is that of the leading i-block and T is the lower-triangular Toeplitz
-    matrix with first column (1, -a_ii, -R C, -R A C, ..., -R A^{i-1} C)
-    for the block A bordered by the row R, the column C and the corner a_ii.
+
+def char_poly_batch(ctx, a):
+    """Char polys of a batch of matrices by Berkowitz (1984), any GR(p^k, m).
+
+    Maps an (..., n, n, m) array to the (..., n + 1, m) array of coefficient
+    vectors, constant term first.  No divisions: the char poly of the
+    leading (i+1)-block is T c, where c is that of the leading i-block and T
+    is the lower-triangular Toeplitz matrix with first column
+    (1, -a_ii, -R C, -R A C, ..., -R A^{i-1} C) for the block A bordered by
+    the row R, the column C and the corner a_ii.
     """
-    ctx, a = M.ctx, M.a
+    a = np.asarray(a, dtype=np.int64)
     mul = ctx.mat_mul
-    c = np.zeros((1, 1, ctx.m), dtype=np.int64)  # leading coefficient first
-    c[0, 0, 0] = 1
-    for i in range(M.n):
-        v = np.zeros((i + 3, ctx.m), dtype=np.int64)  # T's column, then a 0
-        v[0, 0] = 1
-        v[1] = -a[i, i]
+    batch, n = a.shape[:-3], a.shape[-3]
+    c = np.zeros(batch + (1, 1, ctx.m), dtype=np.int64)  # leading coeff first
+    c[..., 0, 0, 0] = 1
+    for i in range(n):
+        v = np.zeros(batch + (i + 3, ctx.m), dtype=np.int64)  # T's column, 0
+        v[..., 0, 0] = 1
+        v[..., 1, :] = -a[..., i, i, :]
         if i:
-            krylov = [a[:i, i:i + 1]]  # the columns A^j C
+            krylov = [a[..., :i, i:i + 1, :]]  # the columns A^j C
             for _ in range(i - 1):
-                krylov.append(mul(a[:i, :i], krylov[-1]))
-            v[2:i + 2] = -mul(a[i:i + 1, :i], np.concatenate(krylov, axis=1))[0]
-        c = mul(v[_toeplitz_index(i + 2)] % ctx.mod, c)
-    return Poly(ctx, [GRElem(ctx, x) for x in c[::-1, 0]])
+                krylov.append(mul(a[..., :i, :i, :], krylov[-1]))
+            row = mul(a[..., i:i + 1, :i, :], np.concatenate(krylov, axis=-2))
+            v[..., 2:i + 2, :] = -row[..., 0, :, :]
+        c = mul(v[..., _toeplitz_index(i + 2), :] % ctx.mod, c)
+    return c[..., ::-1, 0, :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,16 +439,37 @@ class GroupSpec:
     def is_member(self, M):
         if M.ctx != self.ctx or M.n != self.size:
             return False
-        if self.family == "gl":
-            return M.det().is_unit()
-        if self.family == "sl":
-            return M.det() == self.ctx.one()
-        if self.family == "sp":
-            return M.transpose() * self.form * M == self.form
-        if self.family == "so":
-            return (M.transpose() * self.form * M == self.form
-                    and M.det() == self.ctx.one())
-        return M * M.conj_transpose() == Matrix.identity(self.ctx, self.size)
+        return bool(self.member_mask(M.a)[()])
+
+    def member_mask(self, a):
+        """Which matrices of the (..., n, n, m) batch a are members.
+
+        gl, sl and so read the determinant off the constant coefficient of
+        the batch's char polys; sp, so and u compare the form products.
+        """
+        ctx, fam = self.ctx, self.family
+        mul = ctx.mat_mul
+        a = np.asarray(a, dtype=np.int64)
+        ok = np.ones(a.shape[:-3], dtype=bool)
+        if fam in ("sp", "so"):
+            B = self.form.a
+            ok = np.all(mul(mul(np.swapaxes(a, -3, -2), B), a) == B,
+                        axis=(-3, -2, -1))
+        elif fam == "u":
+            conj = a
+            for _ in range(ctx.m // 2):
+                conj = conj @ ctx.sigma_mat.T % ctx.mod
+            eye = Matrix.identity(ctx, self.size).a
+            ok = np.all(mul(a, np.swapaxes(conj, -3, -2)) == eye,
+                        axis=(-3, -2, -1))
+        if fam in ("gl", "sl", "so"):
+            det = (-1) ** self.size * char_poly_batch(ctx, a)[..., 0, :]
+            det %= ctx.mod
+            if fam == "gl":
+                ok = np.any(det % ctx.p, axis=-1)
+            else:
+                ok &= np.all(det == ctx.one().coeffs, axis=-1)
+        return ok
 
     def __repr__(self):
         tag = self.family + ("+" if self.sign == 1 else "-" if self.sign == -1 else "")
@@ -869,16 +899,29 @@ def _lie_coefficient_pool(spec):
     return list(ctx1.elements())
 
 
+# candidates tested per block by enumerate_blocks
+_ENUM_BLOCK = 1024
+
+
 def enumerate_group(spec):
-    """All members at the spec's own level, by brute force (tiny sizes only)."""
+    """All members at the spec's own level, by brute force (tiny sizes only).
+
+    The candidates come in itertools.product order over the entries and
+    their coefficients, and so do the members.
+    """
+    return [Matrix(spec.ctx, a) for block in enumerate_blocks(spec)
+            for a in block]
+
+
+def enumerate_blocks(spec):
+    """The members of enumerate_group as (N, n, n, m) arrays, by blocks."""
     ctx, n = spec.ctx, spec.size
-    count = ctx.mod ** (ctx.m * n * n)
+    width = n * n * ctx.m
+    count = ctx.mod ** width
     if count > 10 ** 6:
         raise ValueError("enumeration too large")
-    out = []
-    for flat in itertools.product(range(ctx.mod), repeat=n * n * ctx.m):
-        a = np.array(flat, dtype=np.int64).reshape(n, n, ctx.m)
-        M = Matrix(ctx, a)
-        if spec.is_member(M):
-            out.append(M)
-    return out
+    place = ctx.mod ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, _ENUM_BLOCK):
+        index = np.arange(start, min(start + _ENUM_BLOCK, count))
+        block = (index[:, None] // place % ctx.mod).reshape(-1, n, n, ctx.m)
+        yield block[spec.member_mask(block)]
