@@ -24,7 +24,12 @@ from .experiments import (
     run_trace_congruence,
     run_trace_equidistribution,
 )
-from .matrix_groups import enumerate_group, sample_haar
+from .matrix_groups import (
+    Matrix,
+    enumerate_group,
+    sample_haar,
+    sample_haar_batch,
+)
 from .polynomials import HayesClassGroup, hayes_characters, monomial
 
 
@@ -151,8 +156,8 @@ def dispatch(argv):
             cfg = _experiment_config(args)
             spec = cfg.group_spec()
             rng = _shard_rng(cfg.seed, 0)
-            rows = [sample_haar(spec, rng).encode()
-                    for _ in range(cfg.samples)]
+            rows = [Matrix(spec.ctx, a).encode()
+                    for a in sample_haar_batch(spec, rng, cfg.samples)]
             report = {"schema_version": SCHEMA_VERSION,
                       "config": cfg.to_dict(), "samples": rows,
                       "pass": True}

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conjugacy import class_census_gl, fulman_prob_gl
-from .galois_rings import RingContext
+from .galois_rings import GRElem, RingContext
 from .matrix_groups import (
     GroupSpec,
     Matrix,
@@ -26,14 +26,15 @@ from .matrix_groups import (
     enumerate_blocks,
     enumerate_group,
     hensel_lift_section,
+    inverse_batch,
     lie_algebra_basis,
     min_poly_mod_p,
-    sample_haar,
+    sample_haar_batch,
 )
 from .polynomials import (
     datum_value_count,
     hayes_label,
-    trace_datum_of,
+    trace_data_batch,
     x_poly,
 )
 
@@ -173,15 +174,31 @@ def _shard_sizes(total, shards):
     return [base + (1 if i < rem else 0) for i in range(shards)]
 
 
-def sharded_histogram(cfg, extract):
-    """Merge per-shard histograms of extract(M) over Haar samples."""
+def _shard_batches(cfg):
+    """Each nonempty shard's Haar samples, one sample_haar_batch call each."""
     spec = cfg.group_spec()
-    hist = {}
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
-        rng = _shard_rng(cfg.seed, shard)
-        for _ in range(count):
-            key = extract(sample_haar(spec, rng))
-            hist[key] = hist.get(key, 0) + 1
+        if count:
+            yield sample_haar_batch(spec, _shard_rng(cfg.seed, shard), count)
+
+
+def _histogram(cfg, extract):
+    """Cell counts of extract over the exact group or the shards' samples.
+
+    extract maps an (N, n, n, m) batch (an enumerate_blocks block in exact
+    mode, a shard's samples otherwise) to an (N, w) array of cell keys; the
+    counts are keyed by the bytes of a key row.
+    """
+    if cfg.mode == "exact":
+        batches = enumerate_blocks(cfg.group_spec())
+    else:
+        batches = _shard_batches(cfg)
+    hist = {}
+    for a in batches:
+        cells, counts = np.unique(extract(a), axis=0, return_counts=True)
+        for cell, count in zip(cells, counts.tolist()):
+            key = cell.tobytes()
+            hist[key] = hist.get(key, 0) + count
     return hist
 
 
@@ -189,26 +206,43 @@ def sharded_histogram(cfg, extract):
 # trace extraction
 
 
+def _power_traces(ctx, a, count):
+    """The (..., count, m) array of tr(A^i), i = 1..count, over the batch a."""
+    diag = np.arange(a.shape[-3])
+    out = np.empty(a.shape[:-3] + (count, ctx.m), dtype=np.int64)
+    P = a
+    for i in range(count):
+        if i:
+            P = ctx.mat_mul(P, a)
+        out[..., i, :] = P[..., diag, diag, :].sum(axis=-2) % ctx.mod
+    return out
+
+
+def _batch_traces(ctx, a, d1, d2):
+    """(tr(A^-i), i = 1..d1; tr(A^i), i = 1..d2) as arrays over the batch a."""
+    neg = _power_traces(ctx, inverse_batch(ctx, a) if d1 else a, d1)
+    return neg, _power_traces(ctx, a, d2)
+
+
+def _datum_keys(ctx, a, d1, d2):
+    """The (N, w) cell keys of the (d1, d2) trace datum over the batch a."""
+    neg, pos = _batch_traces(ctx, a, d1, d2)
+    indices, entries = trace_data_batch(ctx, pos, neg)
+    return entries.reshape(len(a), len(indices) * ctx.m)
+
+
 def matrix_traces(M, d1, d2):
     """(negative traces tr(M^-i) i=1..d1, positive tr(M^i) i=1..d2)."""
-    pos = []
-    P = Matrix.identity(M.ctx, M.n)
-    for _ in range(d2):
-        P = P * M
-        pos.append(P.trace())
-    neg = []
-    if d1:
-        Minv = M.inverse()
-        P = Matrix.identity(M.ctx, M.n)
-        for _ in range(d1):
-            P = P * Minv
-            neg.append(P.trace())
-    return neg, pos
+    return tuple([GRElem(M.ctx, t) for t in traces]
+                 for traces in _batch_traces(M.ctx, M.a, d1, d2))
 
 
 def trace_datum_key(M, d1, d2):
-    neg, pos = matrix_traces(M, d1, d2)
-    return trace_datum_of(pos, neg).key()
+    """TraceDatum.key() of M's (d1, d2) datum."""
+    neg, pos = _batch_traces(M.ctx, M.a, d1, d2)
+    indices, entries = trace_data_batch(M.ctx, pos, neg)
+    return (d1, d2, tuple(sorted((i, a.tobytes())
+                                 for i, a in zip(indices, entries))))
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +258,8 @@ def run_trace_equidistribution(cfg):
     start = time.monotonic()
     ctx = cfg.context()
     cells = datum_value_count(ctx, cfg.d1, cfg.d2)
-    if cfg.mode == "exact":
-        spec = cfg.group_spec()
-        hist = {}
-        group = enumerate_group(spec)
-        for M in group:
-            key = trace_datum_key(M, cfg.d1, cfg.d2)
-            hist[key] = hist.get(key, 0) + 1
-        n_samples = len(group)
-    else:
-        hist = sharded_histogram(
-            cfg, lambda M: trace_datum_key(M, cfg.d1, cfg.d2))
-        n_samples = cfg.samples
+    hist = _histogram(cfg, lambda a: _datum_keys(ctx, a, cfg.d1, cfg.d2))
+    n_samples = sum(hist.values())
     tv = tv_to_uniform(hist, cells)
     noise = expected_tv_noise(cells, n_samples)
     return TVReport(cfg, cells, n_samples, tv, noise,
@@ -252,22 +276,13 @@ def run_single_trace(cfg, r):
     ctx = cfg.context()
     cells = ctx.q ** ctx.k if ctx.m == 1 else ctx.mod ** ctx.m
 
-    def extract(M):
-        neg, pos = matrix_traces(M, abs(r) if r < 0 else 0,
-                                 r if r > 0 else 0)
-        t = pos[-1] if r > 0 else neg[-1]
-        return t.coeffs.tobytes()
+    def extract(a):
+        if r > 0:
+            return _power_traces(ctx, a, r)[:, -1]
+        return _power_traces(ctx, inverse_batch(ctx, a), -r)[:, -1]
 
-    if cfg.mode == "exact":
-        hist = {}
-        group = enumerate_group(cfg.group_spec())
-        for M in group:
-            key = extract(M)
-            hist[key] = hist.get(key, 0) + 1
-        n_samples = len(group)
-    else:
-        hist = sharded_histogram(cfg, extract)
-        n_samples = cfg.samples
+    hist = _histogram(cfg, extract)
+    n_samples = sum(hist.values())
     tv = tv_to_uniform(hist, cells)
     noise = expected_tv_noise(cells, n_samples)
     return TVReport(cfg, cells, n_samples, tv, noise,
@@ -279,8 +294,7 @@ def run_trace_congruence(cfg):
     """Count violations of tr(M^i) = sigma(tr(M^{i/p})) mod p^{min(v, k)}."""
     p, k = cfg.p, cfg.k
     i_max = cfg.i_max or 2 * p * p
-    spec = cfg.group_spec()
-    ctx = spec.ctx
+    ctx = cfg.context()
     violations = 0
     checked = 0
     # one row per power i = p, 2p, ..., checked against sigma of row i/p
@@ -293,31 +307,15 @@ def run_trace_congruence(cfg):
             v += 1
         req[t] = min(v, k)
     modulus = p ** req
-    sig = ctx.sigma_mat.T
-    for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
-        rng = _shard_rng(cfg.seed, shard)
-        for _ in range(count):
-            M = sample_haar(spec, rng)
-            rows = _trace_coeff_rows(M, i_max)
-            delta = (rows[idx - 1] - rows[idx // p - 1] @ sig) % ctx.mod
-            bad = np.any(delta % modulus[:, None], axis=1)
-            checked += len(idx)
-            violations += int(np.count_nonzero(bad))
+    for a in _shard_batches(cfg):
+        rows = _power_traces(ctx, a, i_max)
+        delta = rows[:, idx - 1] - ctx.vec_sigma(rows[:, idx // p - 1])
+        bad = np.any(delta % ctx.mod % modulus[:, None], axis=-1)
+        checked += bad.size
+        violations += int(np.count_nonzero(bad))
     return {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
             "checked": checked, "violations": violations,
             "pass": violations == 0}
-
-
-def _trace_coeff_rows(M, i_max):
-    """Coefficient vectors of tr(M^i), i = 1..i_max, as an int64 array."""
-    ctx, n = M.ctx, M.n
-    out = np.empty((i_max, ctx.m), dtype=np.int64)
-    diag = np.arange(n)
-    P = M.a
-    for r in range(i_max):
-        out[r] = P[diag, diag].sum(axis=0) % ctx.mod
-        P = ctx.mat_mul(P, M.a)
-    return out
 
 
 def enumerate_lie_fq(spec):
@@ -379,7 +377,8 @@ def run_onestep_check(cfg, matrices=None):
             matrices = enumerate_group(spec1)
         else:
             rng = _shard_rng(cfg.seed, 0)
-            matrices = [sample_haar(spec1, rng) for _ in range(cfg.samples)]
+            matrices = [Matrix(ctx1, a) for a in
+                        sample_haar_batch(spec1, rng, cfg.samples)]
 
     results = []
     all_pass = True

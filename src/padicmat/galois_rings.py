@@ -124,6 +124,9 @@ def default_defining_poly(p, m):
     raise RuntimeError("no irreducible polynomial found")
 
 
+_INT64_LIMIT = 2 ** 63
+
+
 class RingContext:
     """Immutable description of GR(p^k, m) with precomputed tables."""
 
@@ -137,6 +140,12 @@ class RingContext:
         self.k = k
         self.q = p ** m
         self.mod = p ** k
+        # int64 products of residues: a ring product sums 2m - 1 of them,
+        # a matrix product over an inner size s sums s of them
+        if (2 * m - 1) * self.mod ** 2 >= _INT64_LIMIT:
+            raise ValueError("GR(%d^%d,%d) products overflow int64"
+                             % (p, k, m))
+        self._max_inner = (_INT64_LIMIT - 1) // self.mod ** 2
         if defining_poly is None:
             defining_poly = default_defining_poly(p, m)
         defining_poly = tuple(int(c) % self.mod for c in defining_poly)
@@ -178,10 +187,14 @@ class RingContext:
     def mat_mul(self, a, b):
         """Matrix product of (..., r, s, m) and (..., s, t, m) arrays.
 
-        Needs s * p^(2k) < 2^63 (and (2m - 1) * p^(2k) < 2^63 for m > 1).
+        Refuses (ValueError) an inner size s with s * p^(2k) >= 2^63, where
+        the int64 sums would wrap.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if a.shape[-2] > self._max_inner:
+            raise ValueError("inner size %d overflows int64 over %r"
+                             % (a.shape[-2], self))
         if self.m == 1:
             return (a[..., 0] @ b[..., 0] % self.mod)[..., None]
         return self._product(a, b, np.matmul)
@@ -211,8 +224,9 @@ class RingContext:
         return result
 
     def vec_inv(self, a):
+        """Inverse of each coefficient vector (last axis) of a."""
         a = np.asarray(a, dtype=np.int64) % self.mod
-        if not np.any(a % self.p):
+        if not np.all(np.any(a % self.p, axis=-1)):
             raise NonUnitError("not a unit")
         if self.m == 1 and a.size == 1:
             out = np.empty_like(a)
@@ -458,7 +472,8 @@ def decode_elem(text, ctx=None):
     """Parse the canonical "c0,c1,... @ GR(p^k,m)" encoding."""
     body, tag = text.split("@")
     tag = tag.strip()
-    assert tag.startswith("GR(") and tag.endswith(")")
+    if not (tag.startswith("GR(") and tag.endswith(")")):
+        raise ValueError("malformed ring tag %r" % tag)
     pk, m = tag[3:-1].split(",")
     p, k = pk.split("^")
     parsed = RingContext(int(p), int(m), int(k)) if ctx is None else ctx

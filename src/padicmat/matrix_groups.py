@@ -186,21 +186,12 @@ class Matrix:
         return self.det().is_unit()
 
     def inverse(self):
-        """Via the characteristic polynomial: division-free up to det^{-1}.
-
-        M (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) = -c_0 I.
-        """
-        c = char_poly(self)
-        acc = Matrix.identity(self.ctx, self.n)
-        for j in range(self.n - 1, 0, -1):
-            acc = self * acc + Matrix.identity(self.ctx, self.n).scale(c.coeff(j))
-        return acc.scale(-c.coeff(0).inv())
+        """The batch-of-one case of inverse_batch."""
+        return Matrix(self.ctx, inverse_batch(self.ctx, self.a))
 
     def encode(self):
-        def ent(i, j):
-            return ":".join(str(int(v)) for v in self.a[i, j])
-        return ";".join(",".join(ent(i, j) for j in range(self.n))
-                        for i in range(self.n))
+        return ";".join(",".join(":".join(map(str, e)) for e in row)
+                        for row in self.a.tolist())
 
     def __repr__(self):
         return "Matrix(%r, [%s])" % (self.ctx, self.encode())
@@ -275,6 +266,25 @@ def char_poly_batch(ctx, a):
             v[..., 2:i + 2, :] = -row[..., 0, :, :]
         c = mul(v[..., _toeplitz_index(i + 2), :] % ctx.mod, c)
     return c[..., ::-1, 0, :]
+
+
+def inverse_batch(ctx, a):
+    """Inverses of an (..., n, n, m) batch through its char polys.
+
+    M (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) = -c_0 I, so the only
+    division is by the determinant; NonUnitError when one is not a unit.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-3]
+    c = char_poly_batch(ctx, a)
+    diag = np.arange(n)
+    acc = Matrix.identity(ctx, n).a
+    for j in range(n - 1, 0, -1):
+        acc = ctx.mat_mul(a, acc)
+        acc[..., diag, diag, :] += c[..., j, None, :]
+        acc %= ctx.mod
+    scale = -ctx.vec_inv(c[..., 0, :]) % ctx.mod
+    return ctx.vec_mul(acc, scale[..., None, None, :])
 
 
 @functools.lru_cache(maxsize=None)
@@ -789,7 +799,11 @@ def _sample_isometry(spec, ctx, rng):
 
 
 def hensel_lift_section(M, spec, to_level, check=True):
-    """Deterministic member of G at to_level reducing to the member M."""
+    """Deterministic member of G at to_level reducing to the member M.
+
+    With check, the input and the output are tested for membership and a
+    failure raises MembershipError; the sampler passes check=False.
+    """
     k = to_level
     if M.ctx.k != k - 1:
         raise ValueError("input must live at level to_level - 1")
@@ -804,42 +818,41 @@ def hensel_lift_section(M, spec, to_level, check=True):
     eps = p ** (k - 1)
     fam = spec.family
     if fam == "gl":
-        return M0
-    if fam == "sl":
+        out = M0
+    elif fam == "sl":
         d = M0.det()
         a = np.array(M0.a)
         dinv = d.inv()
         for j in range(n):
             a[0, j] = (M0.entry(0, j) * dinv).coeffs
-        return Matrix(ctx, a)
-    if fam in ("sp", "so"):
+        out = Matrix(ctx, a)
+    elif fam in ("sp", "so"):
         B = spec_k.form
         Ek = M0.transpose() * B * M0 - B
         E = Matrix(ctx, Ek.a // eps % p)
         half = ctx.elem(pow(2, -1, ctx.mod))
         C = (_form_inverse(spec_k) * E).scale(-half)
         out = M0 * (Matrix.identity(ctx, n) + Matrix(ctx, C.a * eps))
-        assert spec_k.is_member(out)
-        return out
-    # unitary: M M* = I
-    Ek = M0 * M0.conj_transpose() - Matrix.identity(ctx, n)
-    E = Matrix(ctx, Ek.a // eps % p)
-    half = ctx.elem(pow(2, -1, ctx.mod))
-    C = E.scale(-half)
-    out = (Matrix.identity(ctx, n) + Matrix(ctx, C.a * eps)) * M0
-    assert spec_k.is_member(out)
+    else:
+        # unitary: M M* = I
+        Ek = M0 * M0.conj_transpose() - Matrix.identity(ctx, n)
+        E = Matrix(ctx, Ek.a // eps % p)
+        half = ctx.elem(pow(2, -1, ctx.mod))
+        C = E.scale(-half)
+        out = (Matrix.identity(ctx, n) + Matrix(ctx, C.a * eps)) * M0
+    if check and not spec_k.is_member(out):
+        raise MembershipError("the section is not a member at level %d" % k)
     return out
 
 
-def sample_haar(spec, rng, k=None):
+def sample_haar(spec, rng):
     """Exactly uniform sample from G(GR(p^k)).
 
     Residue-field sample, then one unipotent fiber per level: the members
     at level j over a fixed member at level j-1 are exactly
     M_section (I + p^{j-1} A1) with A1 ranging over the Lie algebra span.
     """
-    if k is None:
-        k = spec.ctx.k
+    k = spec.ctx.k
     M = sample_fq(spec, rng)
     if k == 1:
         return M
@@ -865,6 +878,98 @@ def sample_haar(spec, rng, k=None):
         pert = Matrix.identity(ctx_l, n) + Matrix(ctx_l, a * p ** (level - 1))
         M = M * pert
     return M
+
+
+# candidate n x n chunks drawn per block by sample_haar_batch for gl, m = 1;
+# it bounds the temporaries of member_mask, which set the peak memory
+_SAMPLE_BLOCK = 128
+
+
+def sample_haar_batch(spec, rng, count):
+    """count successive sample_haar(spec, rng) calls as one array.
+
+    Returns the (count, n, n, m) int64 array of their matrices, bit for bit,
+    and leaves rng where the calls would.  gl over m = 1 reads the stream in
+    blocks (_sample_gl_blocks); every other spec runs sample_haar count
+    times, the reference the block sampler is tested against.
+    """
+    ctx, n = spec.ctx, spec.size
+    if spec.family == "gl" and ctx.m == 1:
+        return _sample_gl_blocks(spec, rng, count)
+    out = np.empty((count, n, n, ctx.m), dtype=np.int64)
+    for i in range(count):
+        out[i] = sample_haar(spec, rng).a
+    return out
+
+
+def _sample_gl_blocks(spec, rng, count):
+    """sample_haar's stream for gl over m = 1, drawn in blocks of chunks.
+
+    Every draw of such a sample is rng.randrange(p), in chunks of n^2 read
+    as an n x n matrix: the rejected candidates, the accepted residue
+    sample, then one Lie fiber per level 2..k (gl's Lie basis is the unit
+    matrices in row-major order, so a fiber's combination is its chunk).
+    A block asks for no more chunks than the unfinished samples must still
+    use, so the stream stops exactly where the per-sample loop's does.
+    """
+    ctx, n, p, k = spec.ctx, spec.size, spec.ctx.p, spec.ctx.k
+    residue = GroupSpec("gl", n, ctx.reduced_context(1))
+    eye = Matrix.identity(ctx, n).a
+    out = np.empty((count, n, n, 1), dtype=np.int64)
+    done = 0
+    # an accepted chunk whose fibers are not all drawn yet, and those fibers
+    pending = np.empty((0, n, n, 1), dtype=np.min_scalar_type(p - 1))
+    while done < count:
+        need = (count - done) * k - len(pending)
+        drawn = _randbelow_bulk(rng, p, min(_SAMPLE_BLOCK, need) * n * n)
+        drawn = drawn.reshape(-1, n, n, 1)
+        accept = np.concatenate([np.ones(len(pending), dtype=bool),
+                                 residue.member_mask(drawn)])
+        chunks = np.concatenate([pending, drawn])
+        starts = []
+        i = 0
+        while i < len(chunks) and done + len(starts) < count:
+            if not accept[i]:
+                i += 1
+            elif i + k <= len(chunks):
+                starts.append(i)
+                i += k
+            else:
+                break
+        pending = chunks[i:]
+        starts = np.array(starts, dtype=np.intp)
+        M = chunks[starts].astype(np.int64)
+        for level in range(2, k + 1):
+            fiber = chunks[starts + level - 1].astype(np.int64)
+            M = ctx.reduced_context(level).mat_mul(
+                M, eye + fiber * p ** (level - 1))
+        out[done:done + len(M)] = M
+        done += len(M)
+    return out
+
+
+def _randbelow_bulk(rng, bound, count):
+    """[rng.randrange(bound) for _ in range(count)] as one array.
+
+    CPython's randrange(bound) keeps the top bound.bit_length() bits of
+    a 32-bit Mersenne-Twister word and draws again while they are >= bound.
+    The words come from getrandbits(32 w), least significant word first.
+    Each word yields at most one value, so w = the values still missing
+    never draws a word past the last one the loop would use, and rng ends
+    in the loop's state.  Values are in the smallest unsigned dtype.
+    """
+    if not 0 < bound < 2 ** 32:
+        raise ValueError("bound must be in 1 .. 2^32 - 1")
+    shift = 32 - bound.bit_length()
+    parts = [np.empty(0, dtype=np.uint32)]
+    missing = count
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        vals = np.frombuffer(words, dtype="<u4") >> shift
+        vals = vals[vals < bound]
+        parts.append(vals)
+        missing -= len(vals)
+    return np.concatenate(parts).astype(np.min_scalar_type(bound - 1))
 
 
 _FORM_INV_CACHE = {}

@@ -439,7 +439,9 @@ class HayesClassGroup:
                         continue
                 rep = self._canonical(window, r)
                 self._reps[hayes_label(rep, l, H)] = rep
-        assert len(self._reps) == self.order
+        if len(self._reps) != self.order:
+            raise RuntimeError("%d class representatives, expected %d"
+                               % (len(self._reps), self.order))
         self._basis = None
 
     def _canonical(self, window, residue):
@@ -614,12 +616,14 @@ def _int_polydiv_exact(a, b):
     q = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
         c = a[i + len(b) - 1]
-        assert c % b[-1] == 0
+        if c % b[-1]:
+            raise RuntimeError("integer polynomial division is not exact")
         c //= b[-1]
         q[i] = c
         for j in range(len(b)):
             a[i + j] -= c * b[j]
-    assert all(v == 0 for v in a)
+    if any(a):
+        raise RuntimeError("integer polynomial division leaves a remainder")
     return q
 
 
@@ -780,20 +784,49 @@ def _vp(i, p):
 
 def trace_datum_of(pos_traces, neg_traces=None):
     """Build the corrected datum from raw traces tr(M^i), i = 1..d2 (and
-    optionally tr(M^-i), i = 1..d1)."""
+    optionally tr(M^-i), i = 1..d1); the batch-of-one trace_data_batch."""
     neg_traces = neg_traces or []
     ctx = (pos_traces or neg_traces)[0].ctx
-    p, k = ctx.p, ctx.k
-    entries = {}
-    for sign, traces in ((1, pos_traces), (-1, neg_traces)):
-        for idx, t in enumerate(traces, start=1):
-            if _vp(idx, p) >= k:
+
+    def stack(traces):
+        return np.array([t.coeffs for t in traces],
+                        dtype=np.int64).reshape(len(traces), ctx.m)
+
+    indices, entries = trace_data_batch(ctx, stack(pos_traces),
+                                        stack(neg_traces))
+    return TraceDatum(ctx, len(neg_traces), len(pos_traces),
+                      {i: GRElem(ctx, a) for i, a in zip(indices, entries)})
+
+
+def trace_data_batch(ctx, pos, neg):
+    """The entries of TraceDatum for a batch of trace sequences, as arrays.
+
+    pos is the (..., d2, m) array of tr(M^i), i = 1..d2, and neg the
+    (..., d1, m) array of tr(M^-i).  Returns the kept indices (1..d2, then
+    -1..-d1, skipping those divisible by p^k) and the (..., len, m) array
+    of their entries, reduced.  Raises DivisibilityViolation when an entry
+    of any sequence has valuation below min(v_p(i), k).
+    """
+    p, k, mod = ctx.p, ctx.k, ctx.mod
+    indices = []
+    entries = []
+    for sign, traces in ((1, pos), (-1, neg)):
+        for idx in range(1, traces.shape[-2] + 1):
+            v = _vp(idx, p)
+            if v >= k:
                 continue
-            a = t
-            if idx % p == 0:
-                a = t - traces[idx // p - 1].sigma()
-            entries[sign * idx] = a
-    return TraceDatum(ctx, len(neg_traces), len(pos_traces), entries)
+            a = traces[..., idx - 1, :] % mod
+            if v:
+                a = (a - ctx.vec_sigma(traces[..., idx // p - 1, :])) % mod
+                if np.any(a % p ** v):
+                    raise DivisibilityViolation(
+                        "entry at index %d has valuation < %d"
+                        % (sign * idx, v))
+            indices.append(sign * idx)
+            entries.append(a)
+    if not entries:
+        return indices, np.zeros(pos.shape[:-2] + (0, ctx.m), dtype=np.int64)
+    return indices, np.stack(entries, axis=-2)
 
 
 def datum_value_count(ctx, d1, d2):

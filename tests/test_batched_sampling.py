@@ -1,0 +1,275 @@
+"""Batched Haar sampling and trace extraction against per-sample code.
+
+The references here are the per-sample loops the batched paths replace:
+`sample_haar` one matrix at a time, traces from `Matrix` products, the
+inverse by Cayley-Hamilton on `Matrix` arithmetic, the Frobenius-corrected
+datum on `GRElem` arithmetic, and dict histograms of its key.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from padicmat.experiments import (
+    ExperimentConfig,
+    _shard_rng,
+    _shard_sizes,
+    expected_tv_noise,
+    matrix_traces,
+    run_single_trace,
+    run_trace_congruence,
+    run_trace_equidistribution,
+    trace_datum_key,
+    tv_to_uniform,
+)
+from padicmat.galois_rings import RingContext
+from padicmat.matrix_groups import (
+    GroupSpec,
+    Matrix,
+    _randbelow_bulk,
+    char_poly,
+    enumerate_group,
+    inverse_batch,
+    sample_haar,
+    sample_haar_batch,
+)
+from padicmat.polynomials import (
+    DivisibilityViolation,
+    datum_value_count,
+    trace_data_batch,
+    trace_datum_of,
+)
+
+F3 = RingContext(3, 1, 1)
+F9 = RingContext(3, 2, 1)
+Z9 = RingContext(3, 1, 2)
+GR27 = RingContext(3, 1, 3)
+Z25 = RingContext(5, 1, 2)
+G92 = RingContext(3, 2, 2)  # GR(9, 2)
+
+
+@pytest.mark.parametrize("bound", [3, 5, 7, 9, 25, 27, 243])
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_bulk_draws_equal_randrange_loop(bound, count):
+    seed = 1000 * bound + count
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = _randbelow_bulk(rng, bound, count)
+    assert got.tolist() == [ref.randrange(bound) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
+def _assert_batch_equals_loop(spec, count, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = sample_haar_batch(spec, rng, count)
+    want = [sample_haar(spec, ref).a for _ in range(count)]
+    n, m = spec.size, spec.ctx.m
+    assert got.shape == (count, n, n, m) and got.dtype == np.int64
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("ctx", [F3, Z9, GR27, Z25], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_gl_batch_equals_sample_loop(ctx, n):
+    # 300 samples cross several blocks of candidate chunks
+    _assert_batch_equals_loop(GroupSpec("gl", n, ctx), 300, 17 * n + ctx.mod)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_gl_batch_small_counts(count):
+    _assert_batch_equals_loop(GroupSpec("gl", 3, GR27), count, count)
+
+
+@pytest.mark.parametrize("family,size,ctx,sign", [
+    ("sl", 3, Z9, None), ("sp", 4, Z9, None),
+    ("so", 3, Z9, 1), ("so", 3, Z9, -1),
+    ("u", 2, G92, None), ("gl", 4, G92, None),
+])
+def test_other_specs_batch_equals_sample_loop(family, size, ctx, sign):
+    _assert_batch_equals_loop(GroupSpec(family, size, ctx, sign), 12, 5)
+
+
+@pytest.mark.parametrize("ctx", [Z9, G92], ids=repr)
+def test_inverse_batch_matches_per_matrix(ctx):
+    rng = random.Random(3)
+    spec = GroupSpec("gl", 3, ctx)
+    batch = sample_haar_batch(spec, rng, 20)
+    inv = inverse_batch(ctx, batch)
+    eye = Matrix.identity(ctx, 3)
+    for a, b in zip(batch, inv):
+        assert Matrix(ctx, a) * Matrix(ctx, b) == eye
+        assert Matrix(ctx, b) == _reference_inverse(Matrix(ctx, a))
+
+
+# ---------------------------------------------------------------------------
+# per-sample references for the experiments
+
+
+def _reference_inverse(M):
+    """Cayley-Hamilton on Matrix arithmetic, one matrix at a time."""
+    c = char_poly(M)
+    eye = Matrix.identity(M.ctx, M.n)
+    acc = eye
+    for j in range(M.n - 1, 0, -1):
+        acc = M * acc + eye.scale(c.coeff(j))
+    return acc.scale(-c.coeff(0).inv())
+
+
+def _reference_traces(M, d1, d2):
+    out = []
+    for base, count in ((_reference_inverse(M) if d1 else M, d1), (M, d2)):
+        P = Matrix.identity(M.ctx, M.n)
+        traces = []
+        for _ in range(count):
+            P = P * base
+            traces.append(P.trace())
+        out.append(traces)
+    return out
+
+
+def _reference_datum_key(ctx, pos, neg):
+    """TraceDatum.key() of the corrected datum, one GRElem at a time."""
+    p, k = ctx.p, ctx.k
+    entries = []
+    for sign, traces in ((1, pos), (-1, neg)):
+        for idx, t in enumerate(traces, start=1):
+            v, j = 0, idx
+            while j % p == 0:
+                j //= p
+                v += 1
+            if v >= k:
+                continue
+            a = t - traces[idx // p - 1].sigma() if v else t
+            assert a.valuation() >= v
+            entries.append((sign * idx, a.coeffs.tobytes()))
+    return (len(neg), len(pos), tuple(sorted(entries)))
+
+
+def _reference_matrices(cfg):
+    spec = cfg.group_spec()
+    if cfg.mode == "exact":
+        yield from enumerate_group(spec)
+        return
+    for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
+        rng = _shard_rng(cfg.seed, shard)
+        for _ in range(count):
+            yield sample_haar(spec, rng)
+
+
+def _reference_report(cfg, cells, key):
+    hist = {}
+    for M in _reference_matrices(cfg):
+        k = key(M)
+        hist[k] = hist.get(k, 0) + 1
+    n = sum(hist.values())
+    tv = tv_to_uniform(hist, cells)
+    noise = expected_tv_noise(cells, n)
+    return {"N": n, "cell_count": cells, "tv": float(tv), "noise": noise,
+            "min_count": min(hist.values()), "max_count": max(hist.values()),
+            "pass": float(tv) < 2.5 * noise, "occupied_cells": len(hist)}
+
+
+def _fields(report):
+    d = report.to_dict()
+    del d["runtime_ms"]
+    return d
+
+
+@pytest.mark.parametrize("n,ctx,d1,d2,samples,mode", [
+    (4, Z9, 0, 2, 400, "montecarlo"),
+    (5, F3, 1, 2, 300, "montecarlo"),
+    (3, GR27, 0, 3, 200, "montecarlo"),
+    (3, G92, 0, 1, 40, "montecarlo"),
+    (2, G92, 0, 3, 40, "montecarlo"),  # the Frobenius correction at i = 3
+    (4, Z9, 1, 1, 5, "montecarlo"),  # fewer samples than shards
+    (2, Z9, 1, 1, 0, "exact"),
+    (2, F3, 0, 3, 0, "exact"),
+])
+def test_trace_equidistribution_matches_per_sample(n, ctx, d1, d2, samples,
+                                                   mode):
+    cfg = ExperimentConfig("gl", n, ctx.p, m=ctx.m, k=ctx.k, d1=d1, d2=d2,
+                           samples=samples, seed=11, mode=mode)
+    cells = datum_value_count(ctx, d1, d2)
+
+    def key(M):
+        neg, pos = _reference_traces(M, d1, d2)
+        return _reference_datum_key(ctx, pos, neg)
+
+    want = _reference_report(cfg, cells, key)
+    got = _fields(run_trace_equidistribution(cfg))
+    assert {f: got[f] for f in want} == want
+    assert got["config"] == cfg.to_dict()
+
+
+@pytest.mark.parametrize("family,n,ctx,r,samples,mode", [
+    ("gl", 5, GR27, 4, 300, "montecarlo"),
+    ("gl", 3, Z9, -2, 300, "montecarlo"),
+    ("gl", 2, Z25, -1, 200, "montecarlo"),
+    ("gl", 3, Z9, 2, 3, "montecarlo"),
+    ("sp", 2, Z9, 2, 60, "montecarlo"),
+    ("gl", 2, Z9, -2, 0, "exact"),
+])
+def test_single_trace_matches_per_sample(family, n, ctx, r, samples, mode):
+    cfg = ExperimentConfig(family, n, ctx.p, m=ctx.m, k=ctx.k,
+                           samples=samples, seed=4, mode=mode)
+    cells = ctx.mod ** ctx.m
+
+    def key(M):
+        neg, pos = _reference_traces(M, max(-r, 0), max(r, 0))
+        return (pos or neg)[-1].coeffs.tobytes()
+
+    want = _reference_report(cfg, cells, key)
+    del want["occupied_cells"]
+    got = _fields(run_single_trace(cfg, r))
+    assert {f: got[f] for f in want} == want
+    assert set(got) == set(want) | {"schema_version", "config"}
+
+
+@pytest.mark.parametrize("family,n,ctx,sign", [
+    ("gl", 4, Z9, 1), ("gl", 3, GR27, 1), ("sp", 4, Z25, 1),
+    ("so", 3, Z9, -1), ("u", 2, G92, 1),
+])
+def test_congruence_matches_per_sample(family, n, ctx, sign):
+    cfg = ExperimentConfig(family, n, ctx.p, m=ctx.m, k=ctx.k, sign=sign,
+                           samples=40, seed=9)
+    p, k = ctx.p, ctx.k
+    i_max = 2 * p * p
+    checked = violations = 0
+    for M in _reference_matrices(cfg):
+        _, traces = _reference_traces(M, 0, i_max)
+        for i in range(p, i_max + 1, p):
+            v, j = 0, i
+            while j % p == 0:
+                j //= p
+                v += 1
+            delta = traces[i - 1] - traces[i // p - 1].sigma()
+            checked += 1
+            violations += delta.valuation() < min(v, k)
+    rep = run_trace_congruence(cfg)
+    assert (rep["checked"], rep["violations"]) == (checked, violations)
+    assert rep["pass"] == (violations == 0)
+
+
+@pytest.mark.parametrize("ctx", [GR27, G92], ids=repr)
+@pytest.mark.parametrize("d1,d2", [(0, 3), (2, 2), (1, 0), (3, 9)])
+def test_batch_of_one_api_matches_reference(ctx, d1, d2):
+    rng = random.Random(8)
+    spec = GroupSpec("gl", 4, ctx)
+    for _ in range(5):
+        M = sample_haar(spec, rng)
+        neg, pos = _reference_traces(M, d1, d2)
+        want = _reference_datum_key(ctx, pos, neg)
+        assert matrix_traces(M, d1, d2) == (neg, pos)
+        assert trace_datum_key(M, d1, d2) == want
+        assert trace_datum_of(pos, neg).key() == want
+
+
+def test_divisibility_is_checked_on_every_row():
+    # tr(M^3) = sigma(tr(M)) mod 3 fails in the second sequence only
+    pos = np.array([[[1], [0], [1]], [[1], [0], [2]]], dtype=np.int64)
+    indices, entries = trace_data_batch(Z9, pos[:1], pos[:1, :0])
+    assert indices == [1, 2, 3] and entries[0, :, 0].tolist() == [1, 0, 0]
+    with pytest.raises(DivisibilityViolation):
+        trace_data_batch(Z9, pos, pos[:, :0])
