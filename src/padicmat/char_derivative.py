@@ -30,6 +30,8 @@ from .matrix_groups import (
     poly_matrix_entry,
     quadratic_character,
     symplectic_form,
+    _field_index,
+    _field_tables,
     _rref,
 )
 from .polynomials import Poly, hilbert90_beta, monomial, x_poly
@@ -103,12 +105,15 @@ def _poly_to_vector(f, ctx, n, split_fixed):
     return out
 
 
+def _index_rows(ctx, rows):
+    """Rows of GRElem over the field ctx as rows of _field_tables indices."""
+    return [_field_index(ctx, np.array([a.coeffs for a in r])).tolist()
+            for r in rows]
+
+
 def _canonical_rows(ctx, rows):
-    rows = [r for r in rows if any(not a.is_zero() for a in r)]
-    if not rows:
-        return []
-    red, _ = _rref(ctx, rows)
-    return red
+    """The reduced rows (field-table indices) spanning the GRElem rows."""
+    return _rref(_field_tables(ctx), _index_rows(ctx, rows))[0]
 
 
 def dchar_map(A0, spec):
@@ -219,7 +224,13 @@ def verify_image(A0, spec, extend=False):
 
 
 def _splitting_extension(A0, spec):
-    """Re-embed A0 over F_{q^l} where its char poly splits (l <= 6)."""
+    """Re-embed A0 over F_{q^l} where its char poly splits.
+
+    None when it splits over F_q already, or when l > 6 or q^l > 729: the
+    image is reduced over _field_tables indices, whose q^2 tables stop
+    there.  Rank and reduced rows do not change under field extension, so
+    the check over F_q that runs instead sees the same computed image.
+    """
     from .polynomials import factor
 
     g = char_poly(A0.reduce(1) if A0.ctx.k > 1 else A0)
@@ -227,7 +238,7 @@ def _splitting_extension(A0, spec):
     l = 1
     for dgr in degs:
         l = l * dgr // _gcd(l, dgr)
-    if l == 1 or l > 6:
+    if l == 1 or l > 6 or spec.ctx.q ** l > 729:
         return None
     ectx = RingContext(spec.ctx.p, l, 1)
     a = np.zeros((spec.size, spec.size, l), dtype=np.int64)
@@ -341,7 +352,7 @@ def _diagonalize_form(K):
 
 def _independent_subset(ctx, vecs, want):
     """The first `want` of vecs that are independent of those before them."""
-    _, pivots = _rref(ctx, list(zip(*vecs)))
+    _, pivots = _rref(_field_tables(ctx), list(zip(*_index_rows(ctx, vecs))))
     return [vecs[c] for c in pivots[:want]]
 
 

@@ -135,11 +135,12 @@ def _experiment_config(args, trace_shape=False, mode=None):
 
 def _emit(args, report):
     text = json.dumps(report, indent=2, default=str) + "\n"
+    bulk = ("config", "results")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
-    summary = {k: v for k, v in report.items()
-               if k not in ("config", "results")}
+        bulk += ("samples",)  # without --out, stdout is where they go
+    summary = {k: v for k, v in report.items() if k not in bulk}
     print(json.dumps(summary, default=str))
     return 0 if report.get("pass", True) else 1
 

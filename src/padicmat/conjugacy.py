@@ -22,7 +22,7 @@ from .matrix_groups import (
     char_poly_batch,
     _field_index,
     _field_tables,
-    _rref_tab,
+    _rref,
 )
 from .polynomials import (
     Poly,
@@ -326,7 +326,7 @@ def _jordan_partitions(ctx, tab, a, phi, e):
         going = np.zeros(live.size, dtype=bool)
         for i, (t, rows) in enumerate(zip(live.tolist(),
                                           _field_index(ctx, Q).tolist())):
-            r = len(_rref_tab(tab, rows)[0])
+            r = len(_rref(tab, rows)[0])
             drop = ranks[t] - r
             if drop % d or r < floor:
                 raise RuntimeError("rank profile not a multiple of deg phi")
@@ -517,16 +517,15 @@ def so_epsilon(datum):
     q = datum.ctx.q
     total = WittClass(q, 0, 0)
     for phi, lam, signs, kind in _merge_pairs(datum, reciprocal):
-        d = phi.degree
         if kind == "pm1":
             for i in lam.part_sizes():
                 if i % 2 == 1:
                     total = total + _standard_form_witt(q, lam.m(i), signs[i])
                 # even sizes contribute hyperbolically
         elif kind == "self":
+            # one anisotropic plane per odd i m(i), whatever deg phi is
             for i in lam.part_sizes():
-                copies = (d // 2) * i * lam.m(i)
-                for _ in range(copies % 4):
+                if i * lam.m(i) % 2:
                     total = total + _minus_plane_witt(q)
         # pairs are hyperbolic
     n = datum.size
@@ -718,12 +717,3 @@ def min_poly_joint(n, family, q, h):
         out[degmin] = out.get(degmin, Fraction(0)) + family_prob(datum, q)
     return out
 
-
-def conjugacy_table_csv(data, q=None):
-    """CSV rows: canonical datum string, numerator, denominator."""
-    lines = ["datum,numerator,denominator"]
-    for datum in data:
-        pr = family_prob(datum, q)
-        lines.append("%s,%d,%d" % (datum.canonical(),
-                                   pr.numerator, pr.denominator))
-    return "\n".join(lines) + "\n"

@@ -318,30 +318,24 @@ def poly_matrix_entry(B, i, j):
 
 
 def min_poly_mod_p(M):
-    """Minimal polynomial of the residue-field reduction of M."""
+    """Minimal polynomial of the residue-field reduction of M.
+
+    The columns vec(M^t), t = 0..n, are reduced together.  The first d
+    powers are independent and M^d is not (d <= n by Cayley-Hamilton), so
+    the pivots are the columns 0..d-1 and the reduced column d holds the
+    coefficients of M^d in I, M, ..., M^{d-1}.
+    """
     M = M.reduce(1)
     ctx, n = M.ctx, M.n
-    powers = [Matrix.identity(ctx, n)]
-    rows = []  # echelon rows, each with attached combination-of-powers vector
-    for r in range(1, n + 2):
-        powers.append(powers[-1] * M)
-        vec = [powers[r - 1].entry(i, j) for i in range(n) for j in range(n)]
-        comb = [ctx.one() if t == r - 1 else ctx.zero() for t in range(r)]
-        for prow, pcomb, piv in rows:
-            c = vec[piv]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, prow)]
-                pad = pcomb + [ctx.zero()] * (r - len(pcomb))
-                comb = [a - c * b for a, b in zip(comb, pad)]
-        nz = next((t for t, a in enumerate(vec) if not a.is_zero()), None)
-        if nz is None:
-            # sum_t comb[t] M^t = 0 and comb[r-1] = 1: monic annihilator
-            return Poly(ctx, comb)
-        pivinv = vec[nz].inv()
-        vec = [a * pivinv for a in vec]
-        comb = [a * pivinv for a in comb]
-        rows.append((vec, comb, nz))
-    raise RuntimeError("no annihilator found (impossible)")
+    tab = _field_tables(ctx)
+    powers = [Matrix.identity(ctx, n).a]
+    for _ in range(n):
+        powers.append(ctx.mat_mul(powers[-1], M.a))
+    cols = _field_index(ctx, np.stack(powers).reshape(n + 1, n * n, ctx.m))
+    red, pivots = _rref(tab, cols.T.tolist())
+    d = len(pivots)
+    coeffs = [tab.neg[row[d]] for row in red] + [1]
+    return Poly(ctx, [GRElem(ctx, tab.coeffs[c]) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +514,17 @@ def lie_algebra_basis(spec):
                     basis.append(_scaled_unit(ctx, n, i, j, b)
                                  - _scaled_unit(ctx, n, j, i, b.tau()))
         return basis
-    # sp / so: solve B X + X^t B = 0 by row reduction over F_q
-    B = spec.form.reduce(1) if spec.ctx.k > 1 else spec.form
-    coords = [(i, j) for i in range(n) for j in range(n)]
-    rows = []
-    for i, j in coords:
-        E = _unit_matrix(ctx, n, i, j)
-        C = B * E + E.transpose() * B
-        rows.append([C.entry(s, t) for s in range(n) for t in range(n)])
-    # nullspace of the (n^2 x n^2) system; unknowns indexed by coords
-    return [_coords_to_matrix(ctx, n, coords, vec)
-            for vec in _nullspace(ctx, _transpose_grelem(rows))]
+    # sp / so: solve B X + X^t B = 0 by row reduction over F_q; unknown
+    # (i, j) is the entry X_ij, and its column of the system is B E + E^t B
+    # for the unit matrix E = E_ij, both in row-major order
+    B = spec.form.a % ctx.mod
+    E = np.zeros((n * n, n, n, ctx.m), dtype=np.int64)
+    E[np.arange(n * n), np.arange(n * n) // n, np.arange(n * n) % n, 0] = 1
+    C = ctx.mat_mul(B, E) + ctx.mat_mul(np.swapaxes(E, -3, -2), B)
+    system = _field_index(ctx, C.reshape(n * n, n * n, ctx.m)).T.tolist()
+    tab = _field_tables(ctx)
+    null = _nullspace(tab, *_rref(tab, system), n * n)
+    return [Matrix(ctx, tab.coeffs[vec].reshape(n, n, ctx.m)) for vec in null]
 
 
 def _unit_matrix(ctx, n, i, j):
@@ -543,65 +537,6 @@ def _scaled_unit(ctx, n, i, j, c):
     a = np.zeros((n, n, ctx.m), dtype=np.int64)
     a[i, j] = c.coeffs
     return Matrix(ctx, a)
-
-
-def _coords_to_matrix(ctx, n, coords, vec):
-    a = np.zeros((n, n, ctx.m), dtype=np.int64)
-    for (i, j), c in zip(coords, vec):
-        a[i, j] = c.coeffs
-    return Matrix(ctx, a)
-
-
-def _transpose_grelem(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def _rref(ctx, rows):
-    """Reduced row echelon form over a field context; returns (rows, pivots).
-
-    It stays beside the table-driven _rref_tab for the large fields:
-    verify_image(extend=True) runs lie_algebra_basis (through _nullspace),
-    min_poly_mod_p and char_derivative._canonical_rows over splitting
-    fields up to F_{7^6}, where the q^2 tables of _field_tables cannot fit.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows))
-                    if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(ctx, rows):
-    """Basis of the nullspace of the GRElem matrix 'rows' over a field."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _rref(ctx, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ctx.zero()] * ncols
-        vec[fc] = ctx.one()
-        for prow, pc in zip(red, pivots):
-            vec[pc] = -prow[fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +580,12 @@ def _field_tables(ctx):
     in base p, so index 0 is zero and index 1 is one.  coeffs is the
     (q, m) array of coefficient vectors; add and mul are q x q nested
     lists, neg, inv (-1 at zero) and conj (tau, or the identity for odd m)
-    lists of length q.  The price is 2 q^2 table entries where solving
-    with GRElem arithmetic needs O(q) memory: the build takes 0.04 s and
-    12 MiB of peak memory at q = 243, 0.6 s and 126 MiB at q = 729, and
-    grows as q^2 beyond.  The isometry groups sampled in the tests and
-    examples have q <= 121.
+    lists of length q.  Every residue-field elimination (_rref) runs on
+    these indices: the isometry sampler, min_poly_mod_p, the Lie algebras,
+    the class census and the images of char_derivative.  The price is
+    2 q^2 table entries: the build takes 0.04 s and 12 MiB of peak memory
+    at q = 243, 0.6 s and 126 MiB at q = 729, and grows as q^2 beyond, so
+    the splitting fields of verify_image(extend=True) stop at q = 729.
     """
     tab = _FIELD_TAB_CACHE.get(ctx)
     if tab is None:
@@ -676,8 +612,9 @@ def _field_index(ctx, a):
     return a % ctx.p @ ctx.p ** np.arange(ctx.m)
 
 
-def _rref_tab(tab, rows):
-    """_rref over table indices (see _field_tables); returns (rows, pivots)."""
+def _rref(tab, rows):
+    """Reduced row echelon form of rows of field-table indices (see
+    _field_tables); returns (the nonzero reduced rows, their pivots)."""
     add, mul, neg, inv = tab.add, tab.mul, tab.neg, tab.inv
     rows = [list(r) for r in rows]
     pivots = []
@@ -702,29 +639,37 @@ def _rref_tab(tab, rows):
     return rows[:r], pivots
 
 
+def _nullspace(tab, red, pivots, ncols):
+    """Nullspace basis in ncols unknowns of a system reduced by _rref.
+
+    The rows may carry further columns past ncols (a right-hand side);
+    they are ignored, and every pivot must lie below ncols.
+    """
+    null = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for prow, pc in zip(red, pivots):
+            vec[pc] = tab.neg[prow[fc]]
+        null.append(vec)
+    return null
+
+
 def _solve_affine_tab(tab, rows, rhs, ncols):
-    """One solution and a nullspace basis of rows * v = rhs; None if none."""
-    if not rows:
-        return ([0] * ncols,
-                [[1 if t == s else 0 for t in range(ncols)]
-                 for s in range(ncols)])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _rref_tab(tab, aug)
+    """One solution and a nullspace basis of rows * v = rhs; None if none.
+
+    The augmented system is reduced once: when it is consistent, its
+    reduced rows without the last column are those of the coefficients.
+    """
+    red, pivots = _rref(tab, [list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     particular = [0] * ncols
     for prow, pc in zip(red, pivots):
         particular[pc] = prow[ncols]
-    red2, piv2 = _rref_tab(tab, [r[:ncols] for r in rows])
-    free = [c for c in range(ncols) if c not in piv2]
-    null = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for prow, pc in zip(red2, piv2):
-            vec[pc] = tab.neg[prow[fc]]
-        null.append(vec)
-    return particular, null
+    return particular, _nullspace(tab, red, pivots, ncols)
 
 
 def _sample_isometry(spec, ctx, rng):
@@ -735,13 +680,12 @@ def _sample_isometry(spec, ctx, rng):
     independent of them.
     """
     tab = _field_tables(ctx)
-    add, mul, neg, inv, conj = tab.add, tab.mul, tab.neg, tab.inv, tab.conj
+    add, mul, conj = tab.add, tab.mul, tab.conj
     q = len(add)
     n = spec.size
     unitary = spec.family == "u"
     B = _field_index(ctx, spec.form.a).tolist()
     cols = []
-    echelon = []
     for j in range(n):
         rows = []
         rhs = []
@@ -781,19 +725,8 @@ def _sample_isometry(spec, ctx, rng):
                             acc = add[acc][mul[bi[t]][v[t]]]
                         val = add[val][mul[v[i]][acc]]
                 want = B[j][j]
-            if val != want:
-                continue
-            w = list(v)
-            for prow, piv in echelon:
-                c = w[piv]
-                if c:
-                    fr = mul[neg[c]]
-                    w = [add[a][fr[b]] for a, b in zip(w, prow)]
-            if any(w):
+            if val == want and len(_rref(tab, cols + [v])[0]) > j:
                 break
-        piv = next(t for t, a in enumerate(w) if a)
-        ivr = mul[inv[w[piv]]]
-        echelon.append(([ivr[a] for a in w], piv))
         cols.append(v)
     return Matrix(ctx, tab.coeffs[np.array(cols).T])
 

@@ -16,7 +16,6 @@ from padicmat.experiments import (
     enumerate_lie_fq,
     expected_tv_noise,
     group_order_at_level,
-    histogram_csv,
     matrix_traces,
     onestep_fiber,
     run_fulman_consistency,
@@ -24,9 +23,9 @@ from padicmat.experiments import (
     run_single_trace,
     run_trace_congruence,
     run_trace_equidistribution,
-    tv_distance,
     tv_to_uniform,
 )
+from padicmat.polynomials import Poly, hayes_label, x_poly
 from padicmat import cli
 
 F3 = RingContext(3, 1, 1)
@@ -34,18 +33,6 @@ GR9 = RingContext(3, 1, 2)
 
 
 class TestTVDistance:
-    def test_identical(self):
-        assert tv_distance({0: 5, 1: 5}, {0: 5, 1: 5}) == 0
-
-    def test_disjoint(self):
-        assert tv_distance({0: 4}, {1: 4}) == 1
-
-    def test_half_l1(self):
-        assert tv_distance({0: 3, 1: 1}, {0: 2, 1: 2}) == Fraction(1, 4)
-
-    def test_sequences(self):
-        assert tv_distance([3, 1], [2, 2]) == Fraction(1, 4)
-
     def test_uniform(self):
         assert tv_to_uniform({0: 1, 1: 1}, 4) == Fraction(1, 2)
 
@@ -100,6 +87,30 @@ class TestOneStep:
         assert r["hypothesis"] and r["pass"]
         assert r["buckets"] * 9 == 81  # q^{dim - d - 1} = 9 per class
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gl_buckets_are_hayes_classes(self, d):
+        # the buckets are read off the coefficient arrays; hayes_label with
+        # H = x is the reference: same partition of every fiber, same counts
+        spec1 = GroupSpec("gl", 2, F3)
+        spec2 = GroupSpec("gl", 2, GR9)
+        lie = enumerate_lie_fq(spec1)
+        cfg = ExperimentConfig("gl", 2, 3, k=2, d2=d, mode="exact")
+        results = run_onestep_check(cfg)["results"]
+        for A0, r in zip(enumerate_group(spec1), results):
+            chars = onestep_fiber(A0, spec2, lie)
+            by_label, by_key = {}, {}
+            for t, f in enumerate(chars):
+                g = Poly(GR9, [GR9.elem(list(c)) for c in f])
+                by_label.setdefault(hayes_label(g, d, x_poly(GR9)), set()).add(t)
+                key = (f[2 - d:2].tobytes(), f[0].tobytes())
+                by_key.setdefault(key, set()).add(t)
+            assert sorted(map(sorted, by_label.values())) \
+                == sorted(map(sorted, by_key.values()))
+            assert r["buckets"] == len(by_label)
+            if r["hypothesis"]:
+                assert r["pass"] == all(len(c) == 3 ** (3 - d)
+                                        for c in by_label.values())
+
     def test_sp2_exhaustive(self):
         cfg = ExperimentConfig("sp", 2, 3, k=2, d2=1, mode="exact")
         rep = run_onestep_check(cfg)
@@ -138,6 +149,19 @@ class TestEquidistribution:
             return run_trace_equidistribution(cfg)
         a, b = run(), run()
         assert a.tv == b.tv and a.min_count == b.min_count
+
+    def test_exact_mode_reports_no_verdict(self, capsys):
+        # the exact TV of (tr M) on GL_2(GR(9)) is 1/24: a law, not a sample,
+        # so no Monte-Carlo pass/fail is attached, and the CLI exits 0
+        cfg = ExperimentConfig("gl", 2, 3, k=2, d2=1, mode="exact")
+        rep = run_trace_equidistribution(cfg)
+        assert rep.tv == Fraction(1, 24)
+        assert rep.passed is None and "pass" not in rep.to_dict()
+        assert cli.dispatch(["tv", "--family", "gl", "--n", "2", "--p", "3",
+                             "--k", "2", "--d", "1", "--mode", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["tv"] == float(Fraction(1, 24)) and "pass" not in out
+        assert "pass" not in run_single_trace(cfg, 1).to_dict()
 
     def test_group_order_level_formula(self):
         spec = GroupSpec("sl", 2, GR9)
@@ -187,10 +211,6 @@ class TestFulmanConsistency:
 
 
 class TestReports:
-    def test_csv(self):
-        text = histogram_csv({"a": 2, "b": 3})
-        assert text == "cell,count\na,2\nb,3\n"
-
     def test_json_schema(self):
         cfg = ExperimentConfig("gl", 2, 3, d2=1, samples=100, seed=2)
         rep = run_trace_equidistribution(cfg)
@@ -299,4 +319,14 @@ class TestCli:
                              "--p", "3", "--samples", "3", "--seed", "1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["pass"]
+        assert out["pass"] and len(out["samples"]) == 3
+
+    def test_sample_out_keeps_matrices_off_stdout(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        code = cli.dispatch(["sample", "--family", "gl", "--n", "2",
+                             "--p", "3", "--samples", "3", "--seed", "1",
+                             "--out", str(path)])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["pass"] and "samples" not in out
+        assert len(json.loads(path.read_text())["samples"]) == 3
