@@ -14,6 +14,8 @@ join operators, and Witt-class bookkeeping for the orthogonal family.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .galois_rings import GRElem, RingContext
@@ -33,6 +35,7 @@ from .matrix_groups import (
     _field_index,
     _field_tables,
     _rref,
+    _tau_odd_unit,
 )
 from .polynomials import Poly, hilbert90_beta, monomial, x_poly
 
@@ -84,9 +87,7 @@ class LinearMapOnLie:
 
 def _fixed_field_split(ctx):
     """(iota, inv2) with tau(iota) = -iota, for splitting F_{q^2} over F_q."""
-    iota = next(a for a in ctx.units() if a.tau() == -a)
-    inv2 = ctx.elem(pow(2, -1, ctx.mod))
-    return iota, inv2
+    return _tau_odd_unit(ctx), ctx.elem(pow(2, -1, ctx.mod))
 
 
 def _poly_to_vector(f, ctx, n, split_fixed):
@@ -234,10 +235,7 @@ def _splitting_extension(A0, spec):
     from .polynomials import factor
 
     g = char_poly(A0.reduce(1) if A0.ctx.k > 1 else A0)
-    degs = [phi.degree for phi, _ in factor(g)]
-    l = 1
-    for dgr in degs:
-        l = l * dgr // _gcd(l, dgr)
+    l = math.lcm(*(phi.degree for phi, _ in factor(g)))
     if l == 1 or l > 6 or spec.ctx.q ** l > 729:
         return None
     ectx = RingContext(spec.ctx.p, l, 1)
@@ -245,12 +243,6 @@ def _splitting_extension(A0, spec):
     a[:, :, 0] = A0.a[:, :, 0]
     M = Matrix(ectx, a)
     return M, GroupSpec(spec.family, spec.size, ectx, spec.sign)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,19 @@ from .polynomials import HayesClassGroup, hayes_characters, monomial
 
 
 def _common_flags(sub, samples=False, seed=False, trace_shape=False,
-                  mode=False):
+                  mode=False, workers=False):
     sub.add_argument("--family", required=True,
                      choices=["gl", "sl", "sp", "so", "u"])
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--sign", type=int, default=1, choices=[1, -1])
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--sign", type=int, default=1, choices=[1, -1],
+                     help="so only: the type of the form")
+    if workers:
+        # accepted for the sharded Monte-Carlo runs; every run is still
+        # one process
+        sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", help="write the JSON report to this path")
     sub.add_argument("--config", help="key:value file; flags win")
     if mode:
@@ -63,27 +67,28 @@ def build_parser():
     subs = ap.add_subparsers(dest="cmd", required=True)
 
     s = subs.add_parser("sample", help="emit Haar samples")
-    _common_flags(s, samples=True, seed=True)
+    _common_flags(s, samples=True, seed=True, workers=True)
 
     s = subs.add_parser("tv", help="trace-datum equidistribution TV")
-    _common_flags(s, samples=True, seed=True, trace_shape=True, mode=True)
+    _common_flags(s, samples=True, seed=True, trace_shape=True, mode=True,
+                  workers=True)
 
     s = subs.add_parser("onestep", help="one-step conditional check")
     _common_flags(s, samples=True, seed=True, trace_shape=True, mode=True)
 
     s = subs.add_parser("congruence", help="trace congruence violations")
-    _common_flags(s, samples=True, seed=True)
+    _common_flags(s, samples=True, seed=True, workers=True)
     s.add_argument("--i-max", type=int)
 
     s = subs.add_parser("single-trace", help="TV of a single power trace")
-    _common_flags(s, samples=True, seed=True, mode=True)
+    _common_flags(s, samples=True, seed=True, mode=True, workers=True)
     s.add_argument("--r", type=int, required=True)
 
     s = subs.add_parser("fulman", help="class probabilities vs enumeration")
     _common_flags(s)
 
     s = subs.add_parser("image-check", help="image theorem on samples")
-    _common_flags(s, samples=True, seed=True)
+    _common_flags(s, samples=True, seed=True, workers=True)
 
     s = subs.add_parser("hayes", help="Hayes class-group summary")
     s.add_argument("--p", type=int, required=True)
@@ -93,7 +98,6 @@ def build_parser():
                    help="modulus H = x^h_deg")
     s.add_argument("--out")
     s.add_argument("--config")
-    s.add_argument("--workers", type=int, default=1)
 
     s = subs.add_parser("enumerate", help="enumerate a small group")
     _common_flags(s)
@@ -119,6 +123,8 @@ def _apply_config_file(argv):
 
 
 def _experiment_config(args, trace_shape=False, mode=None):
+    if args.sign == -1 and args.family != "so":
+        raise ValueError("--sign -1 is only meaningful for so")
     d1 = getattr(args, "d1", 0)
     d2 = getattr(args, "d2", 0)
     if trace_shape and getattr(args, "d", None) is not None:
@@ -188,6 +194,9 @@ def dispatch(argv):
 
         if args.cmd == "image-check":
             cfg = _experiment_config(args)
+            if cfg.k != 1:
+                raise ValueError("the image check runs at the residue "
+                                 "level: use --k 1")
             spec = cfg.group_spec()
             rng = _shard_rng(cfg.seed, 0)
             fails = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -467,7 +468,10 @@ def fulman_prob_u(datum, q=None):
     ctx = datum.ctx
     if ctx.m % 2:
         raise ValueError("unitary data need a quadratic-extension context")
-    q = q or _isqrt_exact(ctx.q)
+    if not q:
+        q = math.isqrt(ctx.q)
+        if q * q != ctx.q:
+            raise ValueError("not a perfect square")
     q_exp = Fraction(0)
     orders = []
     for phi, lam, signs, kind in _merge_pairs(datum, skew_reciprocal):
@@ -482,13 +486,6 @@ def fulman_prob_u(datum, q=None):
             for i in lam.part_sizes():
                 orders.append(order_gl(lam.m(i), q ** (2 * d)))
     return _finish_prob(q, q_exp, orders)
-
-
-def _isqrt_exact(n):
-    r = round(n ** 0.5)
-    if r * r != n:
-        raise ValueError("not a perfect square")
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ workers process the shards.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -28,22 +27,24 @@ from .matrix_groups import (
     hensel_lift_section,
     inverse_batch,
     lie_algebra_basis,
+    lie_combinations,
     min_poly_mod_p,
     sample_haar_batch,
+    _lie_data,
 )
 from .polynomials import (
+    _vp,
     datum_value_count,
     trace_data_batch,
 )
 
 SCHEMA_VERSION = 1
 N_SHARDS = 16
-EXACT_MODE_BOUND = 10 ** 7
 
 
 class ExperimentConfig:
     def __init__(self, family, n, p, m=1, k=1, sign=1, d1=0, d2=0,
-                 powers=None, samples=0, seed=None, mode="montecarlo",
+                 samples=0, seed=None, mode="montecarlo",
                  i_max=None, shards=N_SHARDS):
         if mode not in ("montecarlo", "exact"):
             raise ValueError("mode must be montecarlo or exact")
@@ -57,7 +58,6 @@ class ExperimentConfig:
         self.sign = sign
         self.d1 = d1
         self.d2 = d2
-        self.powers = list(powers) if powers else None
         self.samples = samples
         self.seed = seed
         self.mode = mode
@@ -76,7 +76,7 @@ class ExperimentConfig:
     def to_dict(self):
         return {"family": self.family, "n": self.n, "p": self.p,
                 "m": self.m, "k": self.k, "sign": self.sign,
-                "d1": self.d1, "d2": self.d2, "powers": self.powers,
+                "d1": self.d1, "d2": self.d2,
                 "samples": self.samples, "seed": self.seed,
                 "mode": self.mode, "i_max": self.i_max,
                 "shards": self.shards}
@@ -102,7 +102,8 @@ class TVReport:
     @property
     def passed(self):
         """The Monte-Carlo verdict tv < 2.5 noise; None in exact mode, where
-        the TV is the law's own and there is no sampling noise to judge it."""
+        the TV is the law's own and there is no sampling noise to judge it
+        (to_dict then omits both pass and noise)."""
         if self.config.mode == "exact":
             return None
         return float(self.tv) < 2.5 * self.noise
@@ -116,7 +117,7 @@ class TVReport:
                "pass": self.passed, "runtime_ms": self.runtime_ms,
                **self.extra}
         if self.passed is None:
-            del out["pass"]
+            del out["pass"], out["noise"]
         return out
 
     def to_json(self):
@@ -280,14 +281,8 @@ def run_trace_congruence(cfg):
     checked = 0
     # one row per power i = p, 2p, ..., checked against sigma of row i/p
     idx = np.arange(p, i_max + 1, p)
-    req = np.empty(len(idx), dtype=np.int64)
-    for t, i in enumerate(idx):
-        v = 0
-        while i % p == 0:
-            i //= p
-            v += 1
-        req[t] = min(v, k)
-    modulus = p ** req
+    modulus = p ** np.array([min(_vp(int(i), p), k) for i in idx],
+                            dtype=np.int64)
     for a in _shard_batches(cfg):
         rows = _power_traces(ctx, a, i_max)
         delta = rows[:, idx - 1] - ctx.vec_sigma(rows[:, idx // p - 1])
@@ -300,35 +295,32 @@ def run_trace_congruence(cfg):
 
 
 def enumerate_lie_fq(spec):
-    """All F_q-combinations of the Lie-algebra basis at the residue level."""
-    ctx1 = spec.ctx.reduced_context(1)
-    basis = lie_algebra_basis(spec)
-    if spec.family == "u":
-        pool = [a for a in ctx1.elements() if a.tau() == a]
-    else:
-        pool = list(ctx1.elements())
-    if len(pool) ** len(basis) > 10 ** 6:
+    """All combinations of the Lie-algebra basis at the residue level.
+
+    Returns the (|pool|^dim, n, n, m) array of lie_combinations, with the
+    coefficient rows in itertools.product order over the pool (the first
+    basis element's coefficient varies slowest).
+    """
+    basis, pool = _lie_data(spec)
+    dim, size = len(basis), len(pool)
+    if size ** dim > 10 ** 6:
         raise ValueError("Lie-algebra fiber too large to enumerate")
-    out = []
-    for coeffs in itertools.product(pool, repeat=len(basis)):
-        A = Matrix.zero(ctx1, spec.size)
-        for c, B in zip(coeffs, basis):
-            A = A + B.scale(c)
-        out.append(A)
-    return out
+    place = size ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(size ** dim)[:, None] // place % size
+    return lie_combinations(spec, idx)
 
 
 def onestep_fiber(A0, spec_k, lie):
     """char(A0_lift (I + p^{k-1} A1)) over the whole level-k Lie fiber.
 
-    Returns the (len(lie), n + 1, m) char_poly_batch array of coefficient
-    vectors, constant term first.
+    lie is the enumerate_lie_fq array of the A1.  Returns the
+    (len(lie), n + 1, m) char_poly_batch array of coefficient vectors,
+    constant term first.
     """
     ctx = spec_k.ctx
     p, k = ctx.p, ctx.k
     L = hensel_lift_section(A0, spec_k, k, check=False)
-    pert = (Matrix.identity(ctx, spec_k.size).a
-            + np.stack([A1.a for A1 in lie]) * p ** (k - 1))
+    pert = Matrix.identity(ctx, spec_k.size).a + lie * p ** (k - 1)
     return char_poly_batch(ctx, ctx.mat_mul(L.a, pert))
 
 
@@ -353,7 +345,7 @@ def run_onestep_check(cfg, matrices=None):
     spec_k = GroupSpec(cfg.family, cfg.n, ctx_k)
     lie = enumerate_lie_fq(spec1)
     q = ctx1.q
-    dim = round(math.log(len(lie), q))
+    dim = len(_lie_data(spec1)[0])
 
     if matrices is None:
         if cfg.mode == "exact":

@@ -503,7 +503,7 @@ def lie_algebra_basis(spec):
                          - _unit_matrix(ctx, n, n - 1, n - 1))
         return basis
     if fam == "u":
-        iota = next(a for a in ctx.units() if a.tau() == -a)
+        iota = _tau_odd_unit(ctx)
         one = ctx.one()
         basis = []
         for i in range(n):
@@ -525,6 +525,11 @@ def lie_algebra_basis(spec):
     tab = _field_tables(ctx)
     null = _nullspace(tab, *_rref(tab, system), n * n)
     return [Matrix(ctx, tab.coeffs[vec].reshape(n, n, ctx.m)) for vec in null]
+
+
+def _tau_odd_unit(ctx):
+    """The first unit iota of ctx.elements() with tau(iota) = -iota."""
+    return next(a for a in ctx.units() if a.tau() == -a)
 
 
 def _unit_matrix(ctx, n, i, j):
@@ -556,11 +561,7 @@ def sample_fq(spec, rng):
                 break
         if spec.family == "gl":
             return M
-        a = np.array(M.a)
-        dinv = d.inv()
-        for j in range(n):
-            a[0, j] = (M.entry(0, j) * dinv).coeffs
-        return Matrix(ctx, a)
+        return _scale_row0(M, d)
     # sp / so / u: column-by-column completion of a form isometry
     while True:
         M = _sample_isometry(spec1, ctx, rng)
@@ -731,6 +732,13 @@ def _sample_isometry(spec, ctx, rng):
     return Matrix(ctx, tab.coeffs[np.array(cols).T])
 
 
+def _scale_row0(M, d):
+    """M with row 0 divided by d; of determinant 1 when d = det M."""
+    a = np.array(M.a)
+    a[0] = M.ctx.vec_mul(a[0], d.inv().coeffs)
+    return Matrix(M.ctx, a)
+
+
 def hensel_lift_section(M, spec, to_level, check=True):
     """Deterministic member of G at to_level reducing to the member M.
 
@@ -753,12 +761,7 @@ def hensel_lift_section(M, spec, to_level, check=True):
     if fam == "gl":
         out = M0
     elif fam == "sl":
-        d = M0.det()
-        a = np.array(M0.a)
-        dinv = d.inv()
-        for j in range(n):
-            a[0, j] = (M0.entry(0, j) * dinv).coeffs
-        out = Matrix(ctx, a)
+        out = _scale_row0(M0, M0.det())
     elif fam in ("sp", "so"):
         B = spec_k.form
         Ek = M0.transpose() * B * M0 - B
@@ -784,32 +787,21 @@ def sample_haar(spec, rng):
     Residue-field sample, then one unipotent fiber per level: the members
     at level j over a fixed member at level j-1 are exactly
     M_section (I + p^{j-1} A1) with A1 ranging over the Lie algebra span.
+    A1 takes one coefficient per basis element, each drawn as
+    rng.randrange(len(pool)) in basis order (see _lie_data); for m = 1 the
+    pool is F_p in order, so the draws are randrange(p).
     """
     k = spec.ctx.k
     M = sample_fq(spec, rng)
     if k == 1:
         return M
-    n = spec.size
-    p = spec.ctx.p
-    basis, pool, stack = _lie_data(spec)
+    basis, pool = _lie_data(spec)
     for level in range(2, k + 1):
         M = hensel_lift_section(M, spec, level, check=False)
-        ctx_l = M.ctx
-        if stack is not None:
-            coeffs = np.array([rng.randrange(p) for _ in range(len(basis))],
-                              dtype=np.int64)
-            a = np.einsum("b,bij->ij", coeffs, stack) % p
-            a = a[:, :, None]
-        else:
-            a = np.zeros((n, n, ctx_l.m), dtype=np.int64)
-            for bmat in basis:
-                c = pool[rng.randrange(len(pool))]
-                if c.is_zero():
-                    continue
-                term = bmat.lift(level).scale(ctx_l.elem(list(c.coeffs)))
-                a = (a + term.a) % ctx_l.mod
-        pert = Matrix.identity(ctx_l, n) + Matrix(ctx_l, a * p ** (level - 1))
-        M = M * pert
+        idx = np.array([rng.randrange(len(pool)) for _ in basis],
+                       dtype=np.intp)
+        A1 = lie_combinations(spec, idx) * spec.ctx.p ** (level - 1)
+        M = M * (Matrix.identity(M.ctx, spec.size) + Matrix(M.ctx, A1))
     return M
 
 
@@ -919,22 +911,42 @@ _LIE_CACHE = {}
 
 
 def _lie_data(spec):
-    key = (spec.family, spec.size, spec.ctx.reduced_context(1), spec.sign)
+    """(basis, pool): the Lie algebra of spec over its residue field.
+
+    basis is the (dim, n^2, m) array of lie_algebra_basis(spec), each
+    matrix flattened row-major.  pool is the (|pool|, m) array of the
+    coefficients a combination may take, in ctx1.elements() order: all of
+    F_q, or for u the tau-fixed subfield.  Cached per residue context.
+    """
+    ctx1 = spec.ctx.reduced_context(1)
+    key = (spec.family, spec.size, ctx1, spec.sign)
     if key not in _LIE_CACHE:
+        n, m, p = spec.size, ctx1.m, ctx1.p
         basis = lie_algebra_basis(spec)
-        pool = _lie_coefficient_pool(spec)
-        stack = None
-        if spec.ctx.m == 1:
-            stack = np.stack([b.a[:, :, 0] for b in basis])
-        _LIE_CACHE[key] = (basis, pool, stack)
+        basis = np.array([b.a for b in basis], dtype=np.int64).reshape(
+            len(basis), n * n, m)
+        pool = np.arange(ctx1.q)[:, None] // p ** np.arange(m) % p
+        if spec.family == "u":
+            fixed = pool
+            for _ in range(m // 2):
+                fixed = ctx1.vec_sigma(fixed)
+            pool = pool[np.all(fixed == pool, axis=1)]
+        _LIE_CACHE[key] = (basis, pool)
     return _LIE_CACHE[key]
 
 
-def _lie_coefficient_pool(spec):
+def lie_combinations(spec, idx):
+    """The Lie-algebra elements sum_t pool[idx[..., t]] basis[t].
+
+    idx is an (..., dim) array of indices into _lie_data(spec)'s pool; the
+    result is the (..., n, n, m) array of residue matrices, one ring
+    product of each coefficient row with the basis.
+    """
+    basis, pool = _lie_data(spec)
     ctx1 = spec.ctx.reduced_context(1)
-    if spec.family == "u":
-        return [a for a in ctx1.elements() if a.tau() == a]
-    return list(ctx1.elements())
+    n = spec.size
+    comb = ctx1.mat_mul(pool[idx][..., None, :, :], basis)
+    return comb.reshape(idx.shape[:-1] + (n, n, ctx1.m))
 
 
 # candidates tested per block by enumerate_blocks

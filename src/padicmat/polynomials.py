@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -553,10 +554,7 @@ class HayesCharacter:
     def __init__(self, group, exps):
         self.group = group
         basis, _ = group.basis()
-        E = 1
-        for _, n in basis:
-            E = E * n // _gcd_int(E, n)
-        self.modulus = E
+        self.modulus = math.lcm(*(n for _, n in basis))
         self.exps = tuple(exps)  # exponent of value on basis[i], times E/n_i
 
     def exponent(self, f):
@@ -581,12 +579,6 @@ class HayesCharacter:
 
     def __repr__(self):
         return "HayesCharacter(exps=%r, modulus=%d)" % (self.exps, self.modulus)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def hayes_characters(ctx, l, H, bound=10 ** 4):

@@ -170,7 +170,8 @@ def _reference_report(cfg, cells, key):
               "min_count": min(hist.values()), "max_count": max(hist.values()),
               "pass": float(tv) < 2.5 * noise, "occupied_cells": len(hist)}
     if cfg.mode == "exact":
-        del report["pass"]  # an exact law carries no Monte-Carlo verdict
+        # an exact law carries no Monte-Carlo verdict and no sampling noise
+        del report["pass"], report["noise"]
     return report
 
 

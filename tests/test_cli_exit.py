@@ -52,3 +52,61 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["order"] == 24
     assert '"order": 24' in proc.stdout
+
+
+MC_FLAGS = ["--family", "gl", "--n", "2", "--p", "3", "--samples", "2",
+            "--seed", "1"]
+
+
+def test_image_check_refuses_levels_above_1(capsys):
+    argv = ["image-check"] + MC_FLAGS + ["--k", "2"]
+    assert cli.dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "residue level" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tv", "--d", "1"] + MC_FLAGS,
+    ["sample"] + MC_FLAGS,
+    ["enumerate", "--family", "sl", "--n", "2", "--p", "3"],
+    ["fulman", "--family", "gl", "--n", "2", "--p", "3"],
+])
+def test_sign_minus_1_outside_so_exits_2(argv, capsys):
+    assert cli.dispatch(argv + ["--sign", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "only meaningful for so" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["onestep", "--family", "gl", "--n", "2", "--p", "3", "--k", "2",
+     "--d", "1", "--mode", "exact"],
+    FULMAN,
+    ["enumerate", "--family", "sl", "--n", "2", "--p", "3"],
+    ["hayes", "--p", "3", "--l", "1"],
+])
+def test_workers_refused_where_no_shards_run(argv, capsys):
+    assert cli.dispatch(argv + ["--workers", "2"]) == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample"] + MC_FLAGS,
+    ["tv", "--d", "1"] + MC_FLAGS,
+    ["congruence"] + MC_FLAGS,
+    ["single-trace", "--r", "1"] + MC_FLAGS,
+    ["image-check"] + MC_FLAGS,
+])
+def test_workers_kept_on_monte_carlo_runs(argv, capsys):
+    assert cli.dispatch(argv + ["--workers", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["tv", "--d", "1"],
+    ["single-trace", "--r", "1"],
+])
+def test_exact_reports_carry_no_noise_or_verdict(argv, capsys):
+    assert cli.dispatch(argv + ["--family", "gl", "--n", "2", "--p", "3",
+                                "--k", "2", "--mode", "exact"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "tv" in report
+    assert "noise" not in report and "pass" not in report
