@@ -10,6 +10,7 @@ reproduced from its own output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,6 @@ from .experiments import (
 from .matrix_groups import (
     Matrix,
     enumerate_group,
-    sample_haar,
     sample_haar_batch,
 )
 from .polynomials import HayesClassGroup, hayes_characters, monomial
@@ -104,6 +104,13 @@ def build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser(), built once per process: parse_args leaves the parser
+    as it was, so every dispatch can share it."""
+    return build_parser()
+
+
 def _apply_config_file(argv):
     """Expand --config FILE into leading flags so real flags win."""
     if "--config" not in argv:
@@ -154,7 +161,7 @@ def _emit(args, report):
 def dispatch(argv):
     try:
         argv = _apply_config_file(list(argv))
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -200,8 +207,8 @@ def dispatch(argv):
             spec = cfg.group_spec()
             rng = _shard_rng(cfg.seed, 0)
             fails = []
-            for _ in range(cfg.samples):
-                ok, rep = verify_image(sample_haar(spec, rng), spec)
+            for a in sample_haar_batch(spec, rng, cfg.samples):
+                ok, rep = verify_image(Matrix(spec.ctx, a), spec)
                 if not ok:
                     fails.append(rep)
             report = {"schema_version": SCHEMA_VERSION,

@@ -281,6 +281,15 @@ class RingContext:
     def vec_sigma(self, a):
         return np.asarray(a, dtype=np.int64) @ self.sigma_mat.T % self.mod
 
+    def vec_tau(self, a):
+        """tau = sigma^(m/2), the involution of an even extension degree m,
+        on each coefficient vector (last axis) of a."""
+        if self.m % 2:
+            raise ValueError("tau needs an even extension degree")
+        for _ in range(self.m // 2):
+            a = self.vec_sigma(a)
+        return a
+
     # ---- context utilities ----
 
     @functools.lru_cache(maxsize=None)
@@ -435,12 +444,7 @@ class GRElem:
         return GRElem(self.ctx, self.ctx.vec_sigma(self.coeffs))
 
     def tau(self):
-        if self.ctx.m % 2:
-            raise ValueError("tau needs an even extension degree")
-        out = self
-        for _ in range(self.ctx.m // 2):
-            out = out.sigma()
-        return out
+        return GRElem(self.ctx, self.ctx.vec_tau(self.coeffs))
 
     def reduce(self, k):
         ctx2 = self.ctx.reduced_context(k)

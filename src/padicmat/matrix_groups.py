@@ -155,12 +155,7 @@ class Matrix:
         return Matrix(self.ctx, self.a @ self.ctx.sigma_mat.T % self.ctx.mod)
 
     def tau(self):
-        if self.ctx.m % 2:
-            raise ValueError("tau needs an even extension degree")
-        out = self
-        for _ in range(self.ctx.m // 2):
-            out = out.sigma()
-        return out
+        return Matrix(self.ctx, self.ctx.vec_tau(self.a))
 
     def conj_transpose(self):
         """M* = tau(M)^t, for quadratic-extension contexts."""
@@ -351,11 +346,17 @@ def anti_identity(ctx, n):
 
 def nonsquare_unit(ctx):
     """A fixed non-square unit of the residue field, lifted."""
-    ctx1 = ctx.reduced_context(1)
+    return ctx.elem(_nonsquare_coeffs(ctx.reduced_context(1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _nonsquare_coeffs(ctx1):
+    # the first unit of ctx1.units() that is not a square, scanned once
+    # per residue field
     squares = {(u * u).coeffs.tobytes() for u in ctx1.units()}
     for u in ctx1.units():
         if u.coeffs.tobytes() not in squares:
-            return ctx.elem(list(u.coeffs))
+            return tuple(int(c) for c in u.coeffs)
     raise RuntimeError("no non-square found")
 
 
@@ -460,11 +461,8 @@ class GroupSpec:
             ok = np.all(mul(mul(np.swapaxes(a, -3, -2), B), a) == B,
                         axis=(-3, -2, -1))
         elif fam == "u":
-            conj = a
-            for _ in range(ctx.m // 2):
-                conj = conj @ ctx.sigma_mat.T % ctx.mod
             eye = Matrix.identity(ctx, self.size).a
-            ok = np.all(mul(a, np.swapaxes(conj, -3, -2)) == eye,
+            ok = np.all(mul(a, _conj_transpose(ctx, a)) == eye,
                         axis=(-3, -2, -1))
         if fam in ("gl", "sl", "so"):
             det = (-1) ** self.size * char_poly_batch(ctx, a)[..., 0, :]
@@ -549,19 +547,26 @@ def _scaled_unit(ctx, n, i, j, c):
 
 
 def sample_fq(spec, rng):
-    """Exactly uniform sample from G(F_q) (residue-field level)."""
+    """Exactly uniform sample from G(F_q) (residue-field level).
+
+    gl and sl redraw a uniform matrix until it is invertible: gl tests its
+    rank (_is_invertible_fq), sl needs the determinant itself to scale row
+    0 by its inverse.
+    """
     ctx = spec.ctx.reduced_context(1)
     spec1 = spec if spec.ctx.k == 1 else spec.reduced(1)
     n = spec.size
-    if spec.family in ("gl", "sl"):
+    if spec.family == "gl":
+        while True:
+            M = Matrix.random(ctx, n, rng)
+            if _is_invertible_fq(M):
+                return M
+    if spec.family == "sl":
         while True:
             M = Matrix.random(ctx, n, rng)
             d = M.det()
             if d.is_unit():
-                break
-        if spec.family == "gl":
-            return M
-        return _scale_row0(M, d)
+                return Matrix(ctx, _scale_row0(ctx, M.a, d.coeffs))
     # sp / so / u: column-by-column completion of a form isometry
     while True:
         M = _sample_isometry(spec1, ctx, rng)
@@ -569,9 +574,23 @@ def sample_fq(spec, rng):
             return M
 
 
+def _is_invertible_fq(M):
+    """Whether the residue-field matrix M has full rank, by _rref on the
+    field tables; above _FIELD_TAB_MAX_Q, whether its determinant is a
+    unit, so that no q^2 tables are built for the test."""
+    ctx = M.ctx
+    if ctx.q > _FIELD_TAB_MAX_Q:
+        return M.det().is_unit()
+    red, _ = _rref(_field_tables(ctx), _field_index(ctx, M.a).tolist())
+    return len(red) == M.n
+
+
 _FieldTables = collections.namedtuple(
     "_FieldTables", "coeffs add mul neg inv conj")
 _FIELD_TAB_CACHE = {}
+# gl's rank test (_is_invertible_fq) builds the field tables up to this q;
+# above it their q^2 cost outweighs a determinant per candidate
+_FIELD_TAB_MAX_Q = 729
 
 
 def _field_tables(ctx):
@@ -590,15 +609,11 @@ def _field_tables(ctx):
     """
     tab = _FIELD_TAB_CACHE.get(ctx)
     if tab is None:
-        q, p = ctx.q, ctx.p
-        coeffs = np.arange(q)[:, None] // p ** np.arange(ctx.m) % p
+        coeffs = _field_coeffs(ctx)
         mul = _field_index(ctx, ctx.vec_mul(coeffs[:, None], coeffs[None]))
         inv = np.argmax(mul == 1, axis=1)
         inv[0] = -1
-        conj = coeffs
-        if ctx.m % 2 == 0:
-            for _ in range(ctx.m // 2):
-                conj = ctx.vec_sigma(conj)
+        conj = ctx.vec_tau(coeffs) if ctx.m % 2 == 0 else coeffs
         tab = _FieldTables(
             coeffs,
             _field_index(ctx, coeffs[:, None] + coeffs[None]).tolist(),
@@ -606,6 +621,13 @@ def _field_tables(ctx):
             _field_index(ctx, conj).tolist())
         _FIELD_TAB_CACHE[ctx] = tab
     return tab
+
+
+def _field_coeffs(ctx):
+    """The (q, m) coefficient vectors of the residue field ctx in
+    ctx.elements() order: coefficient t of element i is digit t of i in
+    base p."""
+    return np.arange(ctx.q)[:, None] // ctx.p ** np.arange(ctx.m) % ctx.p
 
 
 def _field_index(ctx, a):
@@ -732,99 +754,117 @@ def _sample_isometry(spec, ctx, rng):
     return Matrix(ctx, tab.coeffs[np.array(cols).T])
 
 
-def _scale_row0(M, d):
-    """M with row 0 divided by d; of determinant 1 when d = det M."""
-    a = np.array(M.a)
-    a[0] = M.ctx.vec_mul(a[0], d.inv().coeffs)
-    return Matrix(M.ctx, a)
+def _scale_row0(ctx, a, d):
+    """The (..., n, n, m) batch a with row 0 of each matrix multiplied by
+    the inverse of the matching coefficient vector of d (shape (..., m));
+    of determinant 1 when d is the determinant."""
+    a = np.array(a, dtype=np.int64)
+    a[..., 0, :, :] = ctx.vec_mul(a[..., 0, :, :],
+                                  ctx.vec_inv(d)[..., None, :])
+    return a
+
+
+def _conj_transpose(ctx, a):
+    """M* = tau(M)^t for each matrix of the (..., n, n, m) batch a."""
+    return np.swapaxes(ctx.vec_tau(a), -3, -2)
 
 
 def hensel_lift_section(M, spec, to_level, check=True):
     """Deterministic member of G at to_level reducing to the member M.
 
-    With check, the input and the output are tested for membership and a
-    failure raises MembershipError; the sampler passes check=False.
+    The batch-of-one case of _section_batch.  With check, the input and
+    the output are tested for membership and a failure raises
+    MembershipError; the sampler calls _section_batch unchecked.
     """
     k = to_level
     if M.ctx.k != k - 1:
         raise ValueError("input must live at level to_level - 1")
     ctx = M.ctx.raised_context(k)
-    spec_k = GroupSpec(spec.family, spec.size, ctx, spec.sign)
     if check and not GroupSpec(spec.family, spec.size, M.ctx,
                                spec.sign).is_member(M):
         raise MembershipError("input is not a member at its level")
-    M0 = M.lift(k)
-    n = spec.size
-    p = ctx.p
-    eps = p ** (k - 1)
-    fam = spec.family
-    if fam == "gl":
-        out = M0
-    elif fam == "sl":
-        out = _scale_row0(M0, M0.det())
-    elif fam in ("sp", "so"):
-        B = spec_k.form
-        Ek = M0.transpose() * B * M0 - B
-        E = Matrix(ctx, Ek.a // eps % p)
-        half = ctx.elem(pow(2, -1, ctx.mod))
-        C = (_form_inverse(spec_k) * E).scale(-half)
-        out = M0 * (Matrix.identity(ctx, n) + Matrix(ctx, C.a * eps))
-    else:
-        # unitary: M M* = I
-        Ek = M0 * M0.conj_transpose() - Matrix.identity(ctx, n)
-        E = Matrix(ctx, Ek.a // eps % p)
-        half = ctx.elem(pow(2, -1, ctx.mod))
-        C = E.scale(-half)
-        out = (Matrix.identity(ctx, n) + Matrix(ctx, C.a * eps)) * M0
-    if check and not spec_k.is_member(out):
+    out = Matrix(ctx, _section_batch(spec, ctx, M.a[None])[0])
+    if check and not GroupSpec(spec.family, spec.size, ctx,
+                               spec.sign).is_member(out):
         raise MembershipError("the section is not a member at level %d" % k)
     return out
 
 
-def sample_haar(spec, rng):
-    """Exactly uniform sample from G(GR(p^k)).
+def _section_batch(spec, ctx, a):
+    """hensel_lift_section over a (..., n, n, m) batch, unchecked.
 
-    Residue-field sample, then one unipotent fiber per level: the members
-    at level j over a fixed member at level j-1 are exactly
+    a holds members at level ctx.k - 1, read verbatim at level ctx.k.  gl
+    keeps them; sl scales row 0 by the inverse determinant.  For sp and so
+    the error M^t B M - B, for u the error M M* - I, is p^{k-1} E, and the
+    correction I - p^{k-1} B^{-1} E / 2 (on the right), resp.
+    I - p^{k-1} E / 2 (on the left), cancels it.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    fam, mul = spec.family, ctx.mat_mul
+    if fam == "gl":
+        return a
+    if fam == "sl":
+        det = (-1) ** spec.size * char_poly_batch(ctx, a)[..., 0, :]
+        return _scale_row0(ctx, a, det % ctx.mod)
+    p, eps = ctx.p, ctx.p ** (ctx.k - 1)
+    eye = Matrix.identity(ctx, spec.size).a
+    half = pow(2, -1, ctx.mod)
+    if fam == "u":
+        err = mul(a, _conj_transpose(ctx, a)) - eye
+        corr = -half * (err % ctx.mod // eps % p)
+        return mul((eye + corr * eps) % ctx.mod, a)
+    form = GroupSpec(fam, spec.size, ctx, spec.sign)
+    B = form.form.a
+    err = mul(mul(np.swapaxes(a, -3, -2), B), a) - B
+    corr = -half * mul(_form_inverse(form).a, err % ctx.mod // eps % p)
+    return mul(a, (eye + corr % ctx.mod * eps) % ctx.mod)
+
+
+def sample_haar(spec, rng):
+    """Exactly uniform sample from G(GR(p^k)); the batch-of-one case of
+    sample_haar_batch."""
+    return Matrix(spec.ctx, sample_haar_batch(spec, rng, 1)[0])
+
+
+def sample_haar_batch(spec, rng, count):
+    """count exactly uniform samples from G(GR(p^k)), as one array.
+
+    Returns the (count, n, n, m) int64 array.  Each sample is a residue
+    sample (sample_fq), then one unipotent fiber per level: the members at
+    level j over a fixed member at level j-1 are exactly
     M_section (I + p^{j-1} A1) with A1 ranging over the Lie algebra span.
     A1 takes one coefficient per basis element, each drawn as
     rng.randrange(len(pool)) in basis order (see _lie_data); for m = 1 the
-    pool is F_p in order, so the draws are randrange(p).
+    pool is F_p in order, so the draws are randrange(p).  The section draws
+    nothing, so a sample's draws are its residue sample's, then its
+    (k - 1) * dim fiber indices, and the draw phase reads exactly these per
+    sample, in order.  The lift phase then runs once over the batch:
+    per level, one _section_batch, one lie_combinations and one mat_mul.
+    gl over m = 1 reads the same stream in blocks (_sample_gl_blocks).
     """
-    k = spec.ctx.k
-    M = sample_fq(spec, rng)
-    if k == 1:
-        return M
-    basis, pool = _lie_data(spec)
+    ctx, n, k = spec.ctx, spec.size, spec.ctx.k
+    if spec.family == "gl" and ctx.m == 1:
+        return _sample_gl_blocks(spec, rng, count)
+    spec1 = spec if k == 1 else spec.reduced(1)
+    a = np.empty((count, n, n, ctx.m), dtype=np.int64)
+    basis, pool = _lie_data(spec) if k > 1 else ((), ())
+    idx = np.empty((count, k - 1, len(basis)), dtype=np.intp)
+    draws, size = range((k - 1) * len(basis)), len(pool)
+    for i in range(count):
+        a[i] = sample_fq(spec1, rng).a
+        idx[i].flat = [rng.randrange(size) for _ in draws]
+    eye = Matrix.identity(ctx, n).a
     for level in range(2, k + 1):
-        M = hensel_lift_section(M, spec, level, check=False)
-        idx = np.array([rng.randrange(len(pool)) for _ in basis],
-                       dtype=np.intp)
-        A1 = lie_combinations(spec, idx) * spec.ctx.p ** (level - 1)
-        M = M * (Matrix.identity(M.ctx, spec.size) + Matrix(M.ctx, A1))
-    return M
+        ctx_j = ctx.reduced_context(level)
+        fiber = lie_combinations(spec, idx[:, level - 2])
+        fiber *= ctx.p ** (level - 1)
+        a = ctx_j.mat_mul(_section_batch(spec, ctx_j, a), eye + fiber)
+    return a
 
 
 # candidate n x n chunks drawn per block by sample_haar_batch for gl, m = 1;
 # it bounds the temporaries of member_mask, which set the peak memory
 _SAMPLE_BLOCK = 128
-
-
-def sample_haar_batch(spec, rng, count):
-    """count successive sample_haar(spec, rng) calls as one array.
-
-    Returns the (count, n, n, m) int64 array of their matrices, bit for bit,
-    and leaves rng where the calls would.  gl over m = 1 reads the stream in
-    blocks (_sample_gl_blocks); every other spec runs sample_haar count
-    times, the reference the block sampler is tested against.
-    """
-    ctx, n = spec.ctx, spec.size
-    if spec.family == "gl" and ctx.m == 1:
-        return _sample_gl_blocks(spec, rng, count)
-    out = np.empty((count, n, n, ctx.m), dtype=np.int64)
-    for i in range(count):
-        out[i] = sample_haar(spec, rng).a
-    return out
 
 
 def _sample_gl_blocks(spec, rng, count):
@@ -921,16 +961,13 @@ def _lie_data(spec):
     ctx1 = spec.ctx.reduced_context(1)
     key = (spec.family, spec.size, ctx1, spec.sign)
     if key not in _LIE_CACHE:
-        n, m, p = spec.size, ctx1.m, ctx1.p
+        n, m = spec.size, ctx1.m
         basis = lie_algebra_basis(spec)
         basis = np.array([b.a for b in basis], dtype=np.int64).reshape(
             len(basis), n * n, m)
-        pool = np.arange(ctx1.q)[:, None] // p ** np.arange(m) % p
+        pool = _field_coeffs(ctx1)
         if spec.family == "u":
-            fixed = pool
-            for _ in range(m // 2):
-                fixed = ctx1.vec_sigma(fixed)
-            pool = pool[np.all(fixed == pool, axis=1)]
+            pool = pool[np.all(ctx1.vec_tau(pool) == pool, axis=1)]
         _LIE_CACHE[key] = (basis, pool)
     return _LIE_CACHE[key]
 

@@ -1,9 +1,10 @@
 """Batched Haar sampling and trace extraction against per-sample code.
 
 The references here are the per-sample loops the batched paths replace:
-`sample_haar` one matrix at a time, traces from `Matrix` products, the
-inverse by Cayley-Hamilton on `Matrix` arithmetic, the Frobenius-corrected
-datum on `GRElem` arithmetic, and dict histograms of its key.
+the Haar sampler one matrix at a time (its Hensel section and Lie fiber on
+`Matrix` arithmetic), traces from `Matrix` products, the inverse by
+Cayley-Hamilton on `Matrix` arithmetic, the Frobenius-corrected datum on
+`GRElem` arithmetic, and dict histograms of its key.
 """
 
 import random
@@ -27,10 +28,15 @@ from padicmat.galois_rings import RingContext
 from padicmat.matrix_groups import (
     GroupSpec,
     Matrix,
+    _FIELD_TAB_CACHE,
+    _is_invertible_fq,
     _randbelow_bulk,
     char_poly,
     enumerate_group,
+    hensel_lift_section,
     inverse_batch,
+    lie_algebra_basis,
+    sample_fq,
     sample_haar,
     sample_haar_batch,
 )
@@ -59,10 +65,48 @@ def test_bulk_draws_equal_randrange_loop(bound, count):
     assert rng.getstate() == ref.getstate()
 
 
+def _reference_section(M, spec, k):
+    """The Hensel section of M to level k, on Matrix arithmetic."""
+    ctx = M.ctx.raised_context(k)
+    n, p, eps = spec.size, ctx.p, ctx.p ** (k - 1)
+    M0 = M.lift(k)
+    eye = Matrix.identity(ctx, n)
+    half = ctx.elem(pow(2, -1, ctx.mod))
+    if spec.family == "gl":
+        return M0
+    if spec.family == "sl":
+        return Matrix.diag(ctx, [M0.det().inv()] + [1] * (n - 1)) * M0
+    if spec.family == "u":
+        E = Matrix(ctx, (M0 * M0.conj_transpose() - eye).a // eps % p)
+        return (eye + Matrix(ctx, E.scale(-half).a * eps)) * M0
+    B = GroupSpec(spec.family, n, ctx, spec.sign).form
+    E = Matrix(ctx, (M0.transpose() * B * M0 - B).a // eps % p)
+    C = (B.inverse() * E).scale(-half)
+    return M0 * (eye + Matrix(ctx, C.a * eps))
+
+
+def _reference_sample_haar(spec, rng):
+    """One Haar sample: the residue sample, then per level the section and
+    a fiber element drawn one basis coefficient at a time."""
+    M = sample_fq(spec, rng)
+    ctx1 = spec.ctx.reduced_context(1)
+    basis = lie_algebra_basis(spec)
+    pool = [c for c in ctx1.elements()
+            if spec.family != "u" or c.tau() == c]
+    for level in range(2, spec.ctx.k + 1):
+        M = _reference_section(M, spec, level)
+        A = Matrix.zero(M.ctx, spec.size)
+        for B in basis:
+            c = pool[rng.randrange(len(pool))]
+            A = A + Matrix(M.ctx, (B * c).a * spec.ctx.p ** (level - 1))
+        M = M * (Matrix.identity(M.ctx, spec.size) + A)
+    return M
+
+
 def _assert_batch_equals_loop(spec, count, seed):
     rng, ref = random.Random(seed), random.Random(seed)
     got = sample_haar_batch(spec, rng, count)
-    want = [sample_haar(spec, ref).a for _ in range(count)]
+    want = [_reference_sample_haar(spec, ref).a for _ in range(count)]
     n, m = spec.size, spec.ctx.m
     assert got.shape == (count, n, n, m) and got.dtype == np.int64
     for g, w in zip(got, want):
@@ -89,6 +133,63 @@ def test_gl_batch_small_counts(count):
 ])
 def test_other_specs_batch_equals_sample_loop(family, size, ctx, sign):
     _assert_batch_equals_loop(GroupSpec(family, size, ctx, sign), 12, 5)
+
+
+# family, size, (p, m), sign: every family, so of both types, u over F_9
+# and F_25, sl and gl over m = 2
+FAMILY_SPECS = [
+    ("gl", 3, (3, 1), None), ("gl", 3, (3, 2), None),
+    ("sl", 3, (3, 1), None), ("sl", 2, (3, 2), None),
+    ("sp", 4, (3, 1), None), ("so", 3, (3, 1), 1), ("so", 3, (5, 1), -1),
+    ("so", 4, (3, 1), -1), ("u", 2, (3, 2), None), ("u", 3, (3, 2), None),
+    ("u", 2, (5, 2), None),
+]
+SPEC_IDS = ["%s%d-p%dm%d%s" % (f, n, p, m, {1: "+", -1: "-"}.get(s, ""))
+            for f, n, (p, m), s in FAMILY_SPECS]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family,size,pm,sign", FAMILY_SPECS, ids=SPEC_IDS)
+def test_batch_equals_reference_loop(family, size, pm, sign, k, count):
+    spec = GroupSpec(family, size, RingContext(*pm, k), sign)
+    _assert_batch_equals_loop(spec, count, 100 * k + count)
+
+
+@pytest.mark.parametrize("family,size,pm,sign", FAMILY_SPECS, ids=SPEC_IDS)
+def test_checked_section_passes_on_every_sampled_row(family, size, pm, sign):
+    ctx = RingContext(*pm, 3)
+    spec = GroupSpec(family, size, ctx, sign)
+    batch = sample_haar_batch(spec, random.Random(6), 50)
+    for level in (2, 3):
+        below = ctx.reduced_context(level - 1)
+        for a in batch:
+            M = Matrix(below, a)
+            lifted = hensel_lift_section(M, spec, level, check=True)
+            assert lifted == _reference_section(M, spec, level)
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 2), (3, 3), (7, 1)])
+def test_rank_test_agrees_with_the_determinant(pm):
+    ctx = RingContext(*pm, 1)
+    rng = random.Random(pm[0] ** pm[1])
+    for n in (1, 2, 3, 4):
+        for _ in range(75):
+            M = Matrix.random(ctx, n, rng)
+            assert _is_invertible_fq(M) == M.det().is_unit()
+        # a last row summing the others is never invertible
+        a = np.array(M.a)
+        a[-1] = a[:-1].sum(axis=0)
+        assert not _is_invertible_fq(Matrix(ctx, a))
+
+
+def test_rank_test_builds_no_tables_above_the_bound():
+    ctx = RingContext(3, 7, 1)  # q = 2187: a determinant decides
+    a = np.array(Matrix.random(ctx, 2, random.Random(5)).a)
+    a[1] = 2 * a[0]
+    assert not _is_invertible_fq(Matrix(ctx, a))
+    assert _is_invertible_fq(Matrix.identity(ctx, 2))
+    assert ctx not in _FIELD_TAB_CACHE
 
 
 @pytest.mark.parametrize("ctx", [Z9, G92], ids=repr)

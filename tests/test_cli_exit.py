@@ -110,3 +110,20 @@ def test_exact_reports_carry_no_noise_or_verdict(argv, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "tv" in report
     assert "noise" not in report and "pass" not in report
+
+
+def test_shared_parser_parses_each_call_afresh(tmp_path, capsys):
+    # dispatch builds its parser once; each call must still start clean
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family: sl\nn: 2\np: 3\n")
+    assert cli.dispatch(["enumerate", "--config", str(cfg), "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 1
+    assert cli.dispatch(["sample"] + MC_FLAGS) == 0
+    rows = json.loads(capsys.readouterr().out)["samples"]
+    assert len(rows) == 2 and all(r.count(";") == 1 for r in rows)
+    assert cli.dispatch(["enumerate", "--family", "sl", "--p", "3"]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert cli.dispatch(["enumerate", "--family", "sl", "--n", "2",
+                         "--p", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 24
+    assert cli._parser() is cli._parser()

@@ -104,6 +104,16 @@ def test_tau_involution():
         RingContext(3, 3, 1).one().tau()
 
 
+def test_vec_tau_is_sigma_to_half_the_degree():
+    ctx = RingContext(3, 4, 2)
+    a = np.random.default_rng(0).integers(0, ctx.mod, (50, 4))
+    assert np.array_equal(ctx.vec_tau(a), ctx.vec_sigma(ctx.vec_sigma(a)))
+    assert np.array_equal(ctx.vec_tau(ctx.vec_tau(a)), a)
+    assert not np.array_equal(ctx.vec_tau(a), a)
+    with pytest.raises(ValueError):
+        RingContext(3, 3, 1).vec_tau(a[:, :3])
+
+
 def test_valuation(gr92):
     assert gr92.zero().valuation() == 2
     assert gr92.one().valuation() == 0

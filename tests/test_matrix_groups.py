@@ -445,6 +445,28 @@ def test_so_form_fixed_across_levels():
         assert form_type(K2) == sign
 
 
+def test_so_minus_spec_scans_the_units_once_per_residue_field(monkeypatch):
+    from padicmat import matrix_groups
+    matrix_groups._nonsquare_coeffs.cache_clear()
+    scans = []
+    units = RingContext.units
+
+    def counted(ctx):
+        scans.append(ctx)
+        return units(ctx)
+
+    monkeypatch.setattr(RingContext, "units", counted)
+    ctx = RingContext(7, 1, 2)
+    first = GroupSpec("so", 3, ctx, -1)
+    assert scans
+    del scans[:]
+    # the same context, and its residue field, find the cached non-square
+    assert GroupSpec("so", 3, ctx, -1).form == first.form
+    assert np.array_equal(first.reduced(1).form.a, first.form.a % 7)
+    assert scans == []
+    assert quadratic_character(nonsquare_unit(ctx)) == -1
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GroupSpec("sp", 3, F3)

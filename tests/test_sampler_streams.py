@@ -1,5 +1,8 @@
 """Golden streams: sample_haar at fixed seeds returns fixed matrices.
 
+sample_haar_batch gives the same matrices on the same stream, in one batch
+or in uneven batches.
+
 Each digest is the SHA-256 prefix of the `encode()` lines of eight
 consecutive samples drawn from one `random.Random(seed)`.  A change to the
 sampler, the isometry column completion, the Hensel section, the Lie fiber
@@ -17,7 +20,12 @@ import random
 import pytest
 
 from padicmat.galois_rings import RingContext
-from padicmat.matrix_groups import GroupSpec, sample_haar
+from padicmat.matrix_groups import (
+    GroupSpec,
+    Matrix,
+    sample_haar,
+    sample_haar_batch,
+)
 
 STREAMS = [
     # family, size, (p, m, k), sign, seed, digest
@@ -33,14 +41,28 @@ STREAMS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "family,size,pmk,sign,seed,digest", STREAMS,
-    ids=["sp4-GR27", "so3+-GR9", "so3--GR9", "u2-GR9_2", "u2-F121",
-         "gl4-GR9_2", "sl3-GR27", "gl3-Z9", "sl2-GR25_2"])
+IDS = ["sp4-GR27", "so3+-GR9", "so3--GR9", "u2-GR9_2", "u2-F121",
+       "gl4-GR9_2", "sl3-GR27", "gl3-Z9", "sl2-GR25_2"]
+
+
+@pytest.mark.parametrize("family,size,pmk,sign,seed,digest", STREAMS, ids=IDS)
 def test_sample_haar_golden_stream(family, size, pmk, sign, seed, digest):
     spec = GroupSpec(family, size, RingContext(*pmk), sign)
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(8):
         h.update(sample_haar(spec, rng).encode().encode() + b"\n")
+    assert h.hexdigest()[:32] == digest
+
+
+@pytest.mark.parametrize("batches", [(8,), (3, 5)], ids=["8", "3+5"])
+@pytest.mark.parametrize("family,size,pmk,sign,seed,digest", STREAMS, ids=IDS)
+def test_sample_haar_batch_golden_stream(family, size, pmk, sign, seed,
+                                         digest, batches):
+    spec = GroupSpec(family, size, RingContext(*pmk), sign)
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for count in batches:
+        for a in sample_haar_batch(spec, rng, count):
+            h.update(Matrix(spec.ctx, a).encode().encode() + b"\n")
     assert h.hexdigest()[:32] == digest
