@@ -22,18 +22,17 @@ from .galois_rings import GRElem, RingContext
 from .matrix_groups import (
     GroupSpec,
     Matrix,
-    adjugate_x_minus,
+    adjugate_batch,
     anti_identity,
     char_poly,
-    lie_algebra_basis,
     min_poly_mod_p,
     nonsquare_unit,
     orthogonal_form,
-    poly_matrix_entry,
     quadratic_character,
     symplectic_form,
     _field_index,
     _field_tables,
+    _lie_data,
     _rref,
     _tau_odd_unit,
 )
@@ -45,65 +44,86 @@ from .polynomials import Poly, hilbert90_beta, monomial, x_poly
 
 
 def dchar_poly(A0, A1):
-    """tr(Adj(x - A0) A0 A1) as a Poly of degree < n."""
-    ctx, n = A0.ctx, A0.n
-    adj = adjugate_x_minus(A0)
-    prod = A0 * A1
-    return Poly(ctx, [(Bj * prod).trace() for Bj in adj])
+    """tr(Adj(x - A0) A0 A1) as a Poly of degree < n; dchar_map's
+    one-column case."""
+    return _coeffs_poly(A0.ctx, _dchar_coeffs(A0, A1.a[None])[0])
 
 
 def dchar_poly_noncentral(A0, A1):
     """x * tr(Adj(x - A0) A1); equals dchar_poly when tr(A1) = 0."""
     ctx = A0.ctx
-    adj = adjugate_x_minus(A0)
-    return Poly(ctx, [ctx.zero()] + [(Bj * A1).trace() for Bj in adj])
+    adj = adjugate_batch(ctx, A0.a)[1]
+    return x_poly(ctx) * _coeffs_poly(
+        ctx, _trace_pairing(ctx, adj, A1.a[None])[0])
+
+
+def _dchar_coeffs(A0, X):
+    """tr(Adj(x - A0) A0 X[t]) as a (len(X), n, m) array, one adjugate."""
+    ctx = A0.ctx
+    adj = adjugate_batch(ctx, A0.a)[1]
+    return _trace_pairing(ctx, adj, ctx.mat_mul(A0.a, X))
+
+
+def _trace_pairing(ctx, left, right):
+    """tr(left[j] right[t]) as a (len(right), len(left), m) array: the sum
+    of left[j][a, b] right[t][b, a], one ring product of the flattened
+    transposes of right with the flattened left."""
+    rt = np.swapaxes(right, -3, -2).reshape(len(right), -1, ctx.m)
+    lt = left.reshape(len(left), -1, ctx.m)
+    return ctx.mat_mul(rt, np.swapaxes(lt, 0, 1))
+
+
+def _coeffs_poly(ctx, coeffs):
+    """The Poly with coefficient vectors the rows of coeffs, constant first."""
+    return Poly(ctx, [GRElem(ctx, c) for c in coeffs])
+
+
+def _lie_stack(spec):
+    """lie_algebra_basis(spec) as one (dim, n, n, m) array."""
+    basis = _lie_data(spec)[0]
+    return basis.reshape(len(basis), spec.size, spec.size, basis.shape[-1])
 
 
 class LinearMapOnLie:
     """dchar (or dtrace) evaluated on a Lie-algebra basis.
 
-    columns[t] is the value on basis element t, as a Poly.  For the unitary
-    family the span is over the tau-fixed subfield; elsewhere over the
-    context field.
+    coeffs[t] holds the coefficient vectors (constant first) of the value
+    on basis element t, in a (dim, n, m) array; columns[t] is that value as
+    a Poly.  For the unitary family the span is over the tau-fixed
+    subfield; elsewhere over the context field.
     """
 
-    def __init__(self, spec, A0, basis, columns):
+    def __init__(self, spec, A0, coeffs):
         self.spec = spec
         self.A0 = A0
-        self.basis = basis
-        self.columns = columns
+        self.coeffs = coeffs
+
+    @property
+    def columns(self):
+        return [_coeffs_poly(self.A0.ctx, c) for c in self.coeffs]
 
     def image_rref(self):
-        ctx = self.A0.ctx
-        n = self.spec.size
-        rows = [_poly_to_vector(c, ctx, n, self.spec.family == "u")
-                for c in self.columns]
-        return _canonical_rows(ctx, rows)
+        return _canonical_rows(self.A0.ctx, self.coeffs,
+                               self.spec.family == "u")
 
     @property
     def rank(self):
         return len(self.image_rref())
 
 
-def _fixed_field_split(ctx):
-    """(iota, inv2) with tau(iota) = -iota, for splitting F_{q^2} over F_q."""
-    return _tau_odd_unit(ctx), ctx.elem(pow(2, -1, ctx.mod))
+def _split_fixed(ctx, coeffs):
+    """The (..., w, m) array over F_{q^2} as the (..., 2w, m) array of its
+    tau-fixed parts: c becomes (c + tau c) / 2, (c - tau c) / (2 iota)."""
+    half, tau = pow(2, -1, ctx.mod), ctx.vec_tau(coeffs)
+    odd = ctx.vec_mul((coeffs - tau) * half, _tau_odd_unit(ctx).inv().coeffs)
+    return np.stack([(coeffs + tau) * half % ctx.mod, odd], axis=-2).reshape(
+        coeffs.shape[:-2] + (-1, ctx.m))
 
 
-def _poly_to_vector(f, ctx, n, split_fixed):
-    """Coefficient vector of f; for the unitary family each F_{q^2}
-    coefficient is split into two tau-fixed components."""
-    coeffs = [f.coeff(i) for i in range(n)]
-    if not split_fixed:
-        return coeffs
-    iota, inv2 = _fixed_field_split(ctx)
-    iota_inv = iota.inv()
-    out = []
-    for c in coeffs:
-        a = (c + c.tau()) * inv2
-        b = (c - c.tau()) * inv2 * iota_inv
-        out.extend([a, b])
-    return out
+def _poly_coeffs(ctx, polys, n):
+    """The (len(polys), n, m) array of the coefficients below x^n."""
+    return np.array([[f.coeff(i).coeffs for i in range(n)] for f in polys],
+                    dtype=np.int64).reshape(len(polys), n, ctx.m)
 
 
 def _index_rows(ctx, rows):
@@ -112,27 +132,29 @@ def _index_rows(ctx, rows):
             for r in rows]
 
 
-def _canonical_rows(ctx, rows):
-    """The reduced rows (field-table indices) spanning the GRElem rows."""
-    return _rref(_field_tables(ctx), _index_rows(ctx, rows))[0]
+def _canonical_rows(ctx, coeffs, split_fixed):
+    """The reduced rows (field-table indices) spanning the rows of the
+    (r, n, m) array, split into tau-fixed parts first for the unitary
+    family."""
+    if split_fixed:
+        coeffs = _split_fixed(ctx, coeffs)
+    return _rref(_field_tables(ctx), _field_index(ctx, coeffs).tolist())[0]
 
 
 def dchar_map(A0, spec):
+    """dchar_{A0} on the Lie basis of spec: one Adj(x - A0), and every
+    column in one ring product with the stacked A0 X_t."""
     if not spec.is_member(A0):
         raise ValueError("A0 is not a member of the group")
-    basis = lie_algebra_basis(spec)
-    cols = [dchar_poly(A0, B) for B in basis]
-    return LinearMapOnLie(spec, A0, basis, cols)
+    return LinearMapOnLie(spec, A0, _dchar_coeffs(A0, _lie_stack(spec)))
 
 
 def dtrace_functional(A0, r, spec):
     """A1 -> r tr(A0^r A1), packaged as a rank <= 1 map (constant polys)."""
-    ctx = A0.ctx
-    basis = lie_algebra_basis(spec)
-    P = A0 ** r
-    rc = ctx.elem(r)
-    cols = [Poly(ctx, [rc * (P * B).trace()]) for B in basis]
-    return LinearMapOnLie(spec, A0, basis, cols)
+    X = _lie_stack(spec)
+    coeffs = np.zeros((len(X), A0.n, A0.ctx.m), dtype=np.int64)
+    coeffs[:, :1] = _trace_pairing(A0.ctx, (A0 ** r).scale(r).a[None], X)
+    return LinearMapOnLie(spec, A0, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +182,7 @@ def predicted_image(A0, spec):
         eps = h.coeff(0)
         return [co * b for b in _signed_palindromic_basis(ctx, d, eps)]
     # unitary: F_q J + (char/min) * (h(0)-skew-palindromic, degree < d)
-    iota, _ = _fixed_field_split(ctx)
+    iota = _tau_odd_unit(ctx)
     J = co * (h - monomial(ctx, d) + Poly(ctx, [h.coeff(0)])) * iota
     out = [J]
     alpha = h.coeff(0)
@@ -181,7 +203,7 @@ def _signed_palindromic_basis(ctx, n, eps):
 
 def _star_symmetric_basis(ctx, n):
     """F_q-basis of {f in F_{q^2}[x], deg < n : x^n tau(f)(1/x) = f}."""
-    iota, _ = _fixed_field_split(ctx)
+    iota = _tau_odd_unit(ctx)
     out = []
     for i in range(1, (n + 1) // 2):
         for c in (ctx.one(), iota):
@@ -208,9 +230,9 @@ def verify_image(A0, spec, extend=False):
     computed = lm.image_rref()
     ctx = A0.ctx
     n = spec.size
-    pred_rows = [_poly_to_vector(f, ctx, n, spec.family == "u")
-                 for f in predicted_image(A0, spec)]
-    predicted = _canonical_rows(ctx, pred_rows)
+    predicted = _canonical_rows(
+        ctx, _poly_coeffs(ctx, predicted_image(A0, spec), n),
+        spec.family == "u")
     ok = computed == predicted
     report = {
         "family": spec.family,
@@ -792,6 +814,6 @@ def _pm_conj_diag(P, alpha):
 
 def generic_adjugate_pm(M):
     """Adj(xI - M) as a poly-matrix, for comparison with the closed forms."""
-    B = adjugate_x_minus(M)
-    n = M.n
-    return [[poly_matrix_entry(B, i, j) for j in range(n)] for i in range(n)]
+    B = adjugate_batch(M.ctx, M.a)[1]
+    return [[_coeffs_poly(M.ctx, B[:, i, j]) for j in range(M.n)]
+            for i in range(M.n)]

@@ -2,8 +2,10 @@
 
 Membership tests, standard forms, Lie algebras, exact uniform sampling via
 the residue-field sampler plus level-by-level unipotent fibers, and the
-division-free matrix algebra (Berkowitz characteristic polynomial, adjugate
-of xI - M, minimal polynomial over the residue field).
+division-free matrix algebra: one Berkowitz pass (char_poly_batch) is the
+source of every determinant, and one Horner recurrence on it
+(adjugate_batch) of every adjugate of xI - M and every inverse; plus the
+minimal polynomial over the residue field.
 """
 
 from __future__ import annotations
@@ -172,10 +174,8 @@ class Matrix:
         return Matrix(self.ctx.raised_context(k), self.a)
 
     def det(self):
-        if self.ctx.m == 1:
-            return self.ctx.elem(_det_bareiss(self.a[:, :, 0]) % self.ctx.mod)
-        c = char_poly(self)
-        return (-1) ** self.n * c.coeff(0)
+        """The batch-of-one case of det_batch."""
+        return GRElem(self.ctx, det_batch(self.ctx, self.a))
 
     def is_unit(self):
         return self.det().is_unit()
@@ -200,28 +200,6 @@ def decode_matrix(ctx, text):
             row.append(ctx.elem([int(v) for v in etext.split(":")]))
         rows.append(row)
     return Matrix.from_rows(ctx, rows)
-
-
-def _det_bareiss(a):
-    """Exact integer determinant (fraction-free elimination)."""
-    a = [[int(v) for v in row] for row in a]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for j in range(n - 1):
-        if a[j][j] == 0:
-            for i in range(j + 1, n):
-                if a[i][j] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(j + 1, n):
-            for t in range(j + 1, n):
-                a[i][t] = (a[i][t] * a[j][j] - a[i][j] * a[j][t]) // prev
-        prev = a[j][j]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +241,38 @@ def char_poly_batch(ctx, a):
     return c[..., ::-1, 0, :]
 
 
-def inverse_batch(ctx, a):
-    """Inverses of an (..., n, n, m) batch through its char polys.
+def det_batch(ctx, a):
+    """Determinants of an (..., n, n, m) batch: (-1)^n times the constant
+    coefficient of its char polys, as an (..., m) array."""
+    a = np.asarray(a, dtype=np.int64)
+    return (-1) ** a.shape[-3] * char_poly_batch(ctx, a)[..., 0, :] % ctx.mod
 
-    M (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1 I) = -c_0 I, so the only
-    division is by the determinant; NonUnitError when one is not a unit.
-    """
+
+def adjugate_batch(ctx, a):
+    """(c, B): the char polys c = char_poly_batch(ctx, a) of an
+    (..., n, n, m) batch, and the (..., n, n, n, m) array B of Adj(xI - M),
+    B[..., j, :, :, :] the coefficient of x^j, by the Horner recurrence
+    B_{n-1} = I, B_{j-1} = M B_j + c_j I."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-3]
     c = char_poly_batch(ctx, a)
     diag = np.arange(n)
-    acc = Matrix.identity(ctx, n).a
+    B = np.zeros(a.shape[:-3] + (n,) + a.shape[-3:], dtype=np.int64)
+    B[..., n - 1, diag, diag, 0] = 1
     for j in range(n - 1, 0, -1):
-        acc = ctx.mat_mul(a, acc)
-        acc[..., diag, diag, :] += c[..., j, None, :]
-        acc %= ctx.mod
+        Bj = ctx.mat_mul(a, B[..., j, :, :, :])
+        Bj[..., diag, diag, :] += c[..., j, None, :]
+        B[..., j - 1, :, :, :] = Bj % ctx.mod
+    return c, B
+
+
+def inverse_batch(ctx, a):
+    """Inverses of an (..., n, n, m) batch as -B_0 / c_0 (adjugate_batch):
+    the only division is by the determinant; NonUnitError when one is not a
+    unit."""
+    c, B = adjugate_batch(ctx, a)
     scale = -ctx.vec_inv(c[..., 0, :]) % ctx.mod
-    return ctx.vec_mul(acc, scale[..., None, None, :])
+    return ctx.vec_mul(B[..., 0, :, :, :], scale[..., None, None, :])
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,19 +284,9 @@ def _toeplitz_index(rows):
 
 
 def adjugate_x_minus(M):
-    """Adj(xI - M) as a list of matrix coefficients [B_0, ..., B_{n-1}].
-
-    Computed by the Horner recurrence B_{n-1} = I, B_{j-1} = M B_j + c_j I
-    where c_j are the char poly coefficients; satisfies
-    (xI - M) Adj(xI - M) = char(M) I identically.
-    """
-    ctx, n = M.ctx, M.n
-    c = char_poly(M)
-    B = [None] * n
-    B[n - 1] = Matrix.identity(ctx, n)
-    for j in range(n - 1, 0, -1):
-        B[j - 1] = M * B[j] + Matrix.identity(ctx, n).scale(c.coeff(j))
-    return B
+    """Adj(xI - M) as a list of matrix coefficients [B_0, ..., B_{n-1}];
+    the batch-of-one case of adjugate_batch."""
+    return [Matrix(M.ctx, b) for b in adjugate_batch(M.ctx, M.a)[1]]
 
 
 def poly_matrix_entry(B, i, j):
@@ -465,8 +448,7 @@ class GroupSpec:
             ok = np.all(mul(a, _conj_transpose(ctx, a)) == eye,
                         axis=(-3, -2, -1))
         if fam in ("gl", "sl", "so"):
-            det = (-1) ** self.size * char_poly_batch(ctx, a)[..., 0, :]
-            det %= ctx.mod
+            det = det_batch(ctx, a)
             if fam == "gl":
                 ok = np.any(det % ctx.p, axis=-1)
             else:
@@ -525,8 +507,10 @@ def lie_algebra_basis(spec):
     return [Matrix(ctx, tab.coeffs[vec].reshape(n, n, ctx.m)) for vec in null]
 
 
+@functools.lru_cache(maxsize=None)
 def _tau_odd_unit(ctx):
-    """The first unit iota of ctx.elements() with tau(iota) = -iota."""
+    """The first unit iota of ctx.elements() with tau(iota) = -iota; the
+    units are scanned once per residue field."""
     return next(a for a in ctx.units() if a.tau() == -a)
 
 
@@ -549,24 +533,18 @@ def _scaled_unit(ctx, n, i, j, c):
 def sample_fq(spec, rng):
     """Exactly uniform sample from G(F_q) (residue-field level).
 
-    gl and sl redraw a uniform matrix until it is invertible: gl tests its
-    rank (_is_invertible_fq), sl needs the determinant itself to scale row
-    0 by its inverse.
+    gl and sl redraw a uniform matrix until it has full rank
+    (_is_invertible_fq), so no rejected candidate pays a determinant; sl
+    then scales row 0 by the inverse determinant (_section_batch).
     """
     ctx = spec.ctx.reduced_context(1)
     spec1 = spec if spec.ctx.k == 1 else spec.reduced(1)
     n = spec.size
-    if spec.family == "gl":
+    if spec.family in ("gl", "sl"):
         while True:
             M = Matrix.random(ctx, n, rng)
             if _is_invertible_fq(M):
-                return M
-    if spec.family == "sl":
-        while True:
-            M = Matrix.random(ctx, n, rng)
-            d = M.det()
-            if d.is_unit():
-                return Matrix(ctx, _scale_row0(ctx, M.a, d.coeffs))
+                return Matrix(ctx, _section_batch(spec1, ctx, M.a))
     # sp / so / u: column-by-column completion of a form isometry
     while True:
         M = _sample_isometry(spec1, ctx, rng)
@@ -588,7 +566,7 @@ def _is_invertible_fq(M):
 _FieldTables = collections.namedtuple(
     "_FieldTables", "coeffs add mul neg inv conj")
 _FIELD_TAB_CACHE = {}
-# gl's rank test (_is_invertible_fq) builds the field tables up to this q;
+# the gl/sl rank test (_is_invertible_fq) builds the field tables up to this q;
 # above it their q^2 cost outweighs a determinant per candidate
 _FIELD_TAB_MAX_Q = 729
 
@@ -754,16 +732,6 @@ def _sample_isometry(spec, ctx, rng):
     return Matrix(ctx, tab.coeffs[np.array(cols).T])
 
 
-def _scale_row0(ctx, a, d):
-    """The (..., n, n, m) batch a with row 0 of each matrix multiplied by
-    the inverse of the matching coefficient vector of d (shape (..., m));
-    of determinant 1 when d is the determinant."""
-    a = np.array(a, dtype=np.int64)
-    a[..., 0, :, :] = ctx.vec_mul(a[..., 0, :, :],
-                                  ctx.vec_inv(d)[..., None, :])
-    return a
-
-
 def _conj_transpose(ctx, a):
     """M* = tau(M)^t for each matrix of the (..., n, n, m) batch a."""
     return np.swapaxes(ctx.vec_tau(a), -3, -2)
@@ -794,7 +762,8 @@ def _section_batch(spec, ctx, a):
     """hensel_lift_section over a (..., n, n, m) batch, unchecked.
 
     a holds members at level ctx.k - 1, read verbatim at level ctx.k.  gl
-    keeps them; sl scales row 0 by the inverse determinant.  For sp and so
+    keeps them; sl scales row 0 by the inverse determinant (at the residue
+    level too, where sample_fq passes any invertible matrix).  For sp and so
     the error M^t B M - B, for u the error M M* - I, is p^{k-1} E, and the
     correction I - p^{k-1} B^{-1} E / 2 (on the right), resp.
     I - p^{k-1} E / 2 (on the left), cancels it.
@@ -804,8 +773,10 @@ def _section_batch(spec, ctx, a):
     if fam == "gl":
         return a
     if fam == "sl":
-        det = (-1) ** spec.size * char_poly_batch(ctx, a)[..., 0, :]
-        return _scale_row0(ctx, a, det % ctx.mod)
+        a = np.array(a)
+        a[..., 0, :, :] = ctx.vec_mul(
+            a[..., 0, :, :], ctx.vec_inv(det_batch(ctx, a))[..., None, :])
+        return a
     p, eps = ctx.p, ctx.p ** (ctx.k - 1)
     eye = Matrix.identity(ctx, spec.size).a
     half = pow(2, -1, ctx.mod)

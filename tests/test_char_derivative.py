@@ -22,7 +22,7 @@ from padicmat.char_derivative import (
     verify_image,
     witt_class_of_form,
     _canonical_rows,
-    _poly_to_vector,
+    _poly_coeffs,
 )
 from padicmat.galois_rings import RingContext
 from padicmat.matrix_groups import (
@@ -46,8 +46,7 @@ F9 = RingContext(3, 2, 1)
 
 
 def _image_span(ctx, polys, n, split=False):
-    return _canonical_rows(ctx, [_poly_to_vector(f, ctx, n, split)
-                                 for f in polys])
+    return _canonical_rows(ctx, _poly_coeffs(ctx, polys, n), split)
 
 
 # -- image theorems --

@@ -467,6 +467,30 @@ def test_so_minus_spec_scans_the_units_once_per_residue_field(monkeypatch):
     assert quadratic_character(nonsquare_unit(ctx)) == -1
 
 
+def test_tau_odd_unit_scans_the_units_once_per_residue_field(monkeypatch):
+    from padicmat import matrix_groups
+    from padicmat.char_derivative import dchar_map
+    matrix_groups._tau_odd_unit.cache_clear()
+    scans = []
+    units = RingContext.units
+
+    def counted(ctx):
+        scans.append(ctx)
+        return units(ctx)
+
+    monkeypatch.setattr(RingContext, "units", counted)
+    iota = matrix_groups._tau_odd_unit(F9)
+    assert scans == [F9]
+    assert iota.is_unit() and iota.tau() == -iota
+    # the unitary image splits each coefficient through the cached iota
+    spec = GroupSpec("u", 2, F9)
+    rng = random.Random(8)
+    for _ in range(5):
+        dchar_map(sample_fq(spec, rng), spec).image_rref()
+    assert matrix_groups._tau_odd_unit(F9) == iota
+    assert scans == [F9]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GroupSpec("sp", 3, F3)

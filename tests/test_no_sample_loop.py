@@ -1,10 +1,14 @@
-"""src/padicmat draws its Haar samples in batches.
+"""src/padicmat runs no batch-of-one function in a loop.
 
 `sample_haar` is the batch-of-one case of `sample_haar_batch`.  A loop of
 `sample_haar` calls inside the package would run the lift phase (Hensel
 section, Lie fiber) once per sample instead of once per batch, so the
-package defines it and never calls it.  The scan uses the standard
-library's `ast`, as test_no_asserts.py does.
+package defines it and never calls it.  Likewise `adjugate_x_minus` is the
+batch-of-one case of `adjugate_batch`, and `dchar_poly` and
+`dchar_poly_noncentral` are one-column cases of `dchar_map`, which builds
+one adjugate per matrix; and the Berkowitz constant coefficient is the one
+determinant, so no Bareiss elimination is defined.  The scan uses the
+standard library's `ast`, as test_no_asserts.py does.
 """
 
 import ast
@@ -37,3 +41,22 @@ def test_sample_haar_is_defined_once_and_never_called():
                  and node.name == "sample_haar"]
     assert uses == {}
     assert defs == ["matrix_groups.py"]
+
+
+def test_batch_of_one_adjugates_are_never_called():
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name in ("adjugate_x_minus", "dchar_poly",
+                     "dchar_poly_noncentral"):
+            lines = list(_uses(tree, name))
+            if lines:
+                uses[path.name, name] = lines
+    assert uses == {}
+
+
+def test_no_second_determinant():
+    defs = [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and "bareiss" in node.name]
+    assert defs == []

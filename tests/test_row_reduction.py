@@ -12,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from padicmat.char_derivative import dchar_map, _index_rows, _poly_to_vector
-from padicmat.galois_rings import RingContext
+from padicmat.char_derivative import dchar_map, _index_rows, _split_fixed
+from padicmat.galois_rings import GRElem, RingContext
 from padicmat.matrix_groups import (
     GroupSpec,
     Matrix,
@@ -212,8 +212,8 @@ def test_image_rref_matches_reference(family, size, ctx, sign):
     rng = random.Random(size * ctx.q)
     for _ in range(8):
         lm = dchar_map(sample_fq(spec, rng), spec)
-        rows = [_poly_to_vector(c, ctx, size, family == "u")
-                for c in lm.columns]
+        coeffs = _split_fixed(ctx, lm.coeffs) if family == "u" else lm.coeffs
+        rows = [[GRElem(ctx, c) for c in row] for row in coeffs]
         red, _ = rref_reference([r for r in rows
                                  if any(not a.is_zero() for a in r)])
         assert lm.image_rref() == _index_rows(ctx, red)
