@@ -75,7 +75,7 @@ def _trace_pairing(ctx, left, right):
 
 def _coeffs_poly(ctx, coeffs):
     """The Poly with coefficient vectors the rows of coeffs, constant first."""
-    return Poly(ctx, [GRElem(ctx, c) for c in coeffs])
+    return Poly(ctx, coeffs.tolist())
 
 
 def _lie_stack(spec):
@@ -122,13 +122,13 @@ def _split_fixed(ctx, coeffs):
 
 def _poly_coeffs(ctx, polys, n):
     """The (len(polys), n, m) array of the coefficients below x^n."""
-    return np.array([[f.coeff(i).coeffs for i in range(n)] for f in polys],
+    return np.array([[f.coeff(i).ints for i in range(n)] for f in polys],
                     dtype=np.int64).reshape(len(polys), n, ctx.m)
 
 
 def _index_rows(ctx, rows):
     """Rows of GRElem over the field ctx as rows of _field_tables indices."""
-    return [_field_index(ctx, np.array([a.coeffs for a in r])).tolist()
+    return [_field_index(ctx, np.array([a.ints for a in r])).tolist()
             for r in rows]
 
 
@@ -373,8 +373,7 @@ def _independent_subset(ctx, vecs, want):
 def _sqrt_table(ctx):
     tbl = {}
     for u in ctx.elements():
-        key = (u * u).coeffs.tobytes()
-        tbl.setdefault(key, u)
+        tbl.setdefault(u * u, u)
     return tbl
 
 
@@ -401,10 +400,10 @@ def _normalized_diagonalizer(K):
     classes = []
     for v, dv in zip(cols, diag):
         if quadratic_character(dv) == 1:
-            s = sqrt[dv.coeffs.tobytes()].inv()
+            s = sqrt[dv].inv()
             cls = 1
         else:
-            s = sqrt[(dv * delta.inv()).coeffs.tobytes()].inv()
+            s = sqrt[dv * delta.inv()].inv()
             cls = -1
         norm_cols.append(([a * s for a in v], cls))
         classes.append(cls)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .char_derivative import WittClass
-from .galois_rings import GRElem, RingContext
+from .galois_rings import RingContext
 from .matrix_groups import (
     char_poly_batch,
     _field_index,
@@ -236,7 +236,7 @@ class ConjClassDatum:
     def canonical(self):
         parts = []
         for phi, (lam, signs) in sorted(self.entries.items(), key=_phi_key):
-            cs = ".".join(str(int(v)) for c in phi.coeffs for v in c.coeffs)
+            cs = ".".join(str(v) for c in phi.coeffs for v in c.ints)
             sg = ",".join("%d%s" % (i, "+" if signs[i] > 0 else "-")
                           for i in sorted(signs))
             parts.append("%s:%s:%s" % (cs, ",".join(map(str, lam.parts)), sg))
@@ -255,7 +255,7 @@ class ConjClassDatum:
 
 def _phi_key(item):
     phi = item[0] if isinstance(item, tuple) else item
-    return (phi.degree, tuple(int(v) for c in phi.coeffs for v in c.coeffs))
+    return (phi.degree, tuple(v for c in phi.coeffs for v in c.ints))
 
 
 def _is_pm1(phi):
@@ -293,7 +293,7 @@ def class_census_gl(ctx, blocks):
             mask = which == u
             key = key.tobytes()
             if key not in factored:
-                g = Poly(ctx, [GRElem(ctx, c) for c in chars[np.argmax(mask)]])
+                g = Poly(ctx, chars[np.argmax(mask)].tolist())
                 if g.coeff(0).is_zero():
                     raise ValueError("matrix is not invertible")
                 factored[key] = factor(g)

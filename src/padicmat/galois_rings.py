@@ -9,6 +9,7 @@ shared across all k for a given (p, m).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -172,7 +173,10 @@ class RingContext:
                 cur = [(v + lead * xm[i]) % mod
                        for i, v in enumerate([0] + cur[:-1])]
         self._red = red
+        self._red_rows = red[m:].tolist()
         self._sigma_mat = None
+        self._zeros = (0,) * (m - 1)
+        self._hash = hash((p, m, self.k, self.defining_poly))
 
     # ---- vectorized coefficient helpers (arrays of shape (..., m)) ----
 
@@ -228,10 +232,6 @@ class RingContext:
         a = np.asarray(a, dtype=np.int64) % self.mod
         if not np.all(np.any(a % self.p, axis=-1)):
             raise NonUnitError("not a unit")
-        if self.m == 1 and a.size == 1:
-            out = np.empty_like(a)
-            out.flat[0] = pow(int(a.flat[0]), -1, self.mod)
-            return out
         # invert in the residue field, then Hensel: x <- x(2 - a x)
         ctx1 = self if self.k == 1 else self.reduced_context(1)
         x = ctx1.vec_pow(a % self.p, self.q - 2).astype(np.int64)
@@ -290,6 +290,33 @@ class RingContext:
             a = self.vec_sigma(a)
         return a
 
+    # ---- scalar helpers on tuples of m ints in [0, p^k) ----
+
+    def _mul_ints(self, a, b):
+        """Ring product of two coefficient tuples, for m > 1."""
+        m, mod = self.m, self.mod
+        full = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    full[i + j] += ai * bj
+        out = full[:m]
+        for row, c in zip(self._red_rows, full[m:]):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple([v % mod for v in out])
+
+    def _pow_ints(self, a, e):
+        """a^e for a coefficient tuple a and e >= 0, for m > 1."""
+        result = (1,) + self._zeros
+        while e:
+            if e & 1:
+                result = self._mul_ints(result, a)
+            a = self._mul_ints(a, a)
+            e >>= 1
+        return result
+
     # ---- context utilities ----
 
     @functools.lru_cache(maxsize=None)
@@ -309,39 +336,31 @@ class RingContext:
         return RingContext(self.p, self.m, k, self.defining_poly)
 
     def elem(self, coeffs):
+        mod = self.mod
         if isinstance(coeffs, int):
-            c = np.zeros(self.m, dtype=np.int64)
-            c[0] = coeffs % self.mod
-            return GRElem(self, c)
-        c = np.asarray(list(coeffs), dtype=np.int64) % self.mod
-        if c.shape != (self.m,):
+            return _elem(self, (coeffs % mod,) + self._zeros)
+        c = tuple([int(v) % mod for v in coeffs])
+        if len(c) != self.m:
             raise ValueError("expected %d coefficients" % self.m)
-        return GRElem(self, c)
+        return _elem(self, c)
 
     def zero(self):
-        return self.elem(0)
+        return _elem(self, (0,) + self._zeros)
 
     def one(self):
-        return self.elem(1)
+        return _elem(self, (1,) + self._zeros)
 
     def generator(self):
         """The image of x (a generator of the extension) as an element."""
-        c = np.zeros(self.m, dtype=np.int64)
-        if self.m > 1:
-            c[1] = 1
-        else:
-            c[0] = 1
-        return GRElem(self, c)
+        if self.m == 1:
+            return self.one()
+        return _elem(self, (0, 1) + self._zeros[1:])
 
     def elements(self):
         """All p^(km) elements, in lexicographic coefficient order."""
-        for idx in range(self.mod ** self.m):
-            c = []
-            t = idx
-            for _ in range(self.m):
-                c.append(t % self.mod)
-                t //= self.mod
-            yield self.elem(c)
+        # coefficient 0 varies fastest
+        for c in itertools.product(range(self.mod), repeat=self.m):
+            yield _elem(self, c[::-1])
 
     def units(self):
         for a in self.elements():
@@ -352,12 +371,13 @@ class RingContext:
         return self.elem([rng.randrange(self.mod) for _ in range(self.m)])
 
     def __eq__(self, other):
-        return (isinstance(other, RingContext)
-                and (self.p, self.m, self.k, self.defining_poly)
-                == (other.p, other.m, other.k, other.defining_poly))
+        return other is self or (
+            isinstance(other, RingContext)
+            and (self.p, self.m, self.k, self.defining_poly)
+            == (other.p, other.m, other.k, other.defining_poly))
 
     def __hash__(self):
-        return hash((self.p, self.m, self.k, self.defining_poly))
+        return self._hash
 
     def __repr__(self):
         if self.k == 1:
@@ -366,29 +386,50 @@ class RingContext:
 
 
 class GRElem:
-    """An element of GR(p^k, m); little-endian coefficient vector."""
+    """An element of GR(p^k, m).
 
-    __slots__ = ("ctx", "coeffs")
+    `ints` is the little-endian coefficient vector as a tuple of m Python
+    ints in [0, p^k), and all scalar arithmetic runs on it; `coeffs` is the
+    same vector as a read-only int64 array, for the batch code.
+    """
+
+    __slots__ = ("ctx", "ints", "_array")
 
     def __init__(self, ctx, coeffs):
+        arr = np.asarray(coeffs, dtype=np.int64) % ctx.mod
+        if arr.shape != (ctx.m,):
+            raise ValueError("expected %d coefficients" % ctx.m)
+        arr.setflags(write=False)
         self.ctx = ctx
-        self.coeffs = np.asarray(coeffs, dtype=np.int64) % ctx.mod
-        self.coeffs.setflags(write=False)
+        self.ints = tuple(arr.tolist())
+        self._array = arr
+
+    @property
+    def coeffs(self):
+        if self._array is None:
+            arr = np.array(self.ints, dtype=np.int64)
+            arr.setflags(write=False)
+            self._array = arr
+        return self._array
 
     def _check(self, other):
+        if isinstance(other, GRElem):
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
+                raise ContextMismatchError("different ring contexts")
+            return other
         if isinstance(other, (int, np.integer)):
-            other = self.ctx.elem(int(other))
-        elif not isinstance(other, GRElem):
-            return None
-        if other.ctx != self.ctx:
-            raise ContextMismatchError("different ring contexts")
-        return other
+            return self.ctx.elem(int(other))
+        return None
 
     def __add__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return GRElem(self.ctx, self.coeffs + other.coeffs)
+        ctx, mod = self.ctx, self.ctx.mod
+        if ctx.m == 1:
+            return _elem(ctx, ((self.ints[0] + other.ints[0]) % mod,))
+        return _elem(ctx, tuple([(a + b) % mod for a, b
+                                 in zip(self.ints, other.ints)]))
 
     __radd__ = __add__
 
@@ -396,7 +437,11 @@ class GRElem:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return GRElem(self.ctx, self.coeffs - other.coeffs)
+        ctx, mod = self.ctx, self.ctx.mod
+        if ctx.m == 1:
+            return _elem(ctx, ((self.ints[0] - other.ints[0]) % mod,))
+        return _elem(ctx, tuple([(a - b) % mod for a, b
+                                 in zip(self.ints, other.ints)]))
 
     def __rsub__(self, other):
         other = self._check(other)
@@ -405,42 +450,60 @@ class GRElem:
         return other - self
 
     def __neg__(self):
-        return GRElem(self.ctx, -self.coeffs)
+        mod = self.ctx.mod
+        return _elem(self.ctx, tuple([-a % mod for a in self.ints]))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return GRElem(self.ctx, self.ctx.vec_mul(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        if ctx.m == 1:
+            return _elem(ctx, (self.ints[0] * other.ints[0] % ctx.mod,))
+        return _elem(ctx, ctx._mul_ints(self.ints, other.ints))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        return GRElem(self.ctx, self.ctx.vec_pow(self.coeffs, e))
+        ctx = self.ctx
+        if ctx.m == 1:
+            return _elem(ctx, (pow(self.ints[0], e, ctx.mod),))
+        return _elem(ctx, ctx._pow_ints(self.ints, e))
 
     def inv(self):
-        return GRElem(self.ctx, self.ctx.vec_inv(self.coeffs))
+        if not self.is_unit():
+            raise NonUnitError("not a unit")
+        ctx = self.ctx
+        if ctx.m == 1:
+            return _elem(ctx, (pow(self.ints[0], -1, ctx.mod),))
+        # a^(|GR(p^k, m)^x| - 1) is the inverse of the unit a
+        order = (ctx.q - 1) * ctx.q ** (ctx.k - 1)
+        return _elem(ctx, ctx._pow_ints(self.ints, order - 1))
 
     def is_unit(self):
-        return bool(np.any(self.coeffs % self.ctx.p))
+        p = self.ctx.p
+        return any(a % p for a in self.ints)
 
     def is_zero(self):
-        return not np.any(self.coeffs)
+        return not any(self.ints)
 
     def valuation(self):
         """Largest j <= k with p^j dividing every coefficient; k for zero."""
         if self.is_zero():
             return self.ctx.k
+        p = self.ctx.p
         v = 0
-        c = self.coeffs
-        while not np.any(c % self.ctx.p):
-            c = c // self.ctx.p
+        c = self.ints
+        while not any(a % p for a in c):
+            c = [a // p for a in c]
             v += 1
         return v
 
     def sigma(self):
+        if self.ctx.m == 1:
+            return self
         return GRElem(self.ctx, self.ctx.vec_sigma(self.coeffs))
 
     def tau(self):
@@ -448,28 +511,39 @@ class GRElem:
 
     def reduce(self, k):
         ctx2 = self.ctx.reduced_context(k)
-        return GRElem(ctx2, self.coeffs % ctx2.mod)
+        return _elem(ctx2, tuple([a % ctx2.mod for a in self.ints]))
 
     def lift(self, k):
         """Entrywise lift to level k (the coefficients are reused verbatim)."""
-        return GRElem(self.ctx.raised_context(k), self.coeffs)
+        return _elem(self.ctx.raised_context(k), self.ints)
 
     def __eq__(self, other):
+        if isinstance(other, GRElem):
+            return ((other.ctx is self.ctx or other.ctx == self.ctx)
+                    and self.ints == other.ints)
         if isinstance(other, int):
-            other = self.ctx.elem(other)
-        return (isinstance(other, GRElem) and self.ctx == other.ctx
-                and np.array_equal(self.coeffs, other.coeffs))
+            return self.ints == self.ctx.elem(other).ints
+        return False
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs.tobytes()))
+        return hash(self.ints)
 
     def encode(self):
         return "%s @ GR(%d^%d,%d)" % (
-            ",".join(str(int(c)) for c in self.coeffs),
+            ",".join(str(c) for c in self.ints),
             self.ctx.p, self.ctx.k, self.ctx.m)
 
     def __repr__(self):
         return self.encode()
+
+
+def _elem(ctx, ints):
+    """The GRElem of an already-reduced tuple of m ints (no checks)."""
+    e = object.__new__(GRElem)
+    e.ctx = ctx
+    e.ints = ints
+    e._array = None
+    return e
 
 
 def decode_elem(text, ctx=None):

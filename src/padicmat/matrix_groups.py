@@ -63,7 +63,7 @@ class Matrix:
                     e = ctx.elem(e)
                 elif e.ctx != ctx:
                     raise ContextMismatchError("entry from a different ring")
-                a[i, j] = e.coeffs
+                a[i, j] = e.ints
         return cls(ctx, a)
 
     @classmethod
@@ -73,7 +73,7 @@ class Matrix:
         for i, e in enumerate(entries):
             if not isinstance(e, GRElem):
                 e = ctx.elem(e)
-            a[i, i] = e.coeffs
+            a[i, i] = e.ints
         return cls(ctx, a)
 
     @classmethod
@@ -209,7 +209,7 @@ def decode_matrix(ctx, text):
 def char_poly(M):
     """Monic char poly of M; the batch-of-one case of char_poly_batch."""
     ctx = M.ctx
-    return Poly(ctx, [GRElem(ctx, x) for x in char_poly_batch(ctx, M.a)])
+    return Poly(ctx, char_poly_batch(ctx, M.a).tolist())
 
 
 def char_poly_batch(ctx, a):
@@ -248,31 +248,45 @@ def det_batch(ctx, a):
     return (-1) ** a.shape[-3] * char_poly_batch(ctx, a)[..., 0, :] % ctx.mod
 
 
+def _adjugate_steps(ctx, a, c):
+    """B_{n-1}, ..., B_0, the coefficients of Adj(xI - M) for an
+    (..., n, n, m) batch a with char polys c, one at a time, by the Horner
+    recurrence B_{n-1} = I, B_{j-1} = M B_j + c_j I."""
+    n = a.shape[-3]
+    diag = np.arange(n)
+    Bj = np.zeros(a.shape, dtype=np.int64)
+    Bj[..., diag, diag, 0] = 1
+    yield Bj
+    for j in range(n - 1, 0, -1):
+        Bj = ctx.mat_mul(a, Bj)
+        Bj[..., diag, diag, :] += c[..., j, None, :]
+        Bj %= ctx.mod
+        yield Bj
+
+
 def adjugate_batch(ctx, a):
     """(c, B): the char polys c = char_poly_batch(ctx, a) of an
     (..., n, n, m) batch, and the (..., n, n, n, m) array B of Adj(xI - M),
-    B[..., j, :, :, :] the coefficient of x^j, by the Horner recurrence
-    B_{n-1} = I, B_{j-1} = M B_j + c_j I."""
+    B[..., j, :, :, :] the coefficient of x^j (_adjugate_steps)."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-3]
     c = char_poly_batch(ctx, a)
-    diag = np.arange(n)
-    B = np.zeros(a.shape[:-3] + (n,) + a.shape[-3:], dtype=np.int64)
-    B[..., n - 1, diag, diag, 0] = 1
-    for j in range(n - 1, 0, -1):
-        Bj = ctx.mat_mul(a, B[..., j, :, :, :])
-        Bj[..., diag, diag, :] += c[..., j, None, :]
-        B[..., j - 1, :, :, :] = Bj % ctx.mod
+    B = np.empty(a.shape[:-3] + (n,) + a.shape[-3:], dtype=np.int64)
+    for j, Bj in zip(range(n - 1, -1, -1), _adjugate_steps(ctx, a, c)):
+        B[..., j, :, :, :] = Bj
     return c, B
 
 
 def inverse_batch(ctx, a):
-    """Inverses of an (..., n, n, m) batch as -B_0 / c_0 (adjugate_batch):
-    the only division is by the determinant; NonUnitError when one is not a
-    unit."""
-    c, B = adjugate_batch(ctx, a)
+    """Inverses of an (..., n, n, m) batch as -B_0 / c_0 (_adjugate_steps,
+    keeping one B_j at a time): the only division is by the determinant;
+    NonUnitError when one is not a unit."""
+    a = np.asarray(a, dtype=np.int64)
+    c = char_poly_batch(ctx, a)
+    for B0 in _adjugate_steps(ctx, a, c):
+        pass
     scale = -ctx.vec_inv(c[..., 0, :]) % ctx.mod
-    return ctx.vec_mul(B[..., 0, :, :, :], scale[..., None, None, :])
+    return ctx.vec_mul(B0, scale[..., None, None, :])
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,7 +327,7 @@ def min_poly_mod_p(M):
     red, pivots = _rref(tab, cols.T.tolist())
     d = len(pivots)
     coeffs = [tab.neg[row[d]] for row in red] + [1]
-    return Poly(ctx, [GRElem(ctx, tab.coeffs[c]) for c in coeffs])
+    return Poly(ctx, tab.coeffs[coeffs].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +350,10 @@ def nonsquare_unit(ctx):
 def _nonsquare_coeffs(ctx1):
     # the first unit of ctx1.units() that is not a square, scanned once
     # per residue field
-    squares = {(u * u).coeffs.tobytes() for u in ctx1.units()}
+    squares = {u * u for u in ctx1.units()}
     for u in ctx1.units():
-        if u.coeffs.tobytes() not in squares:
-            return tuple(int(c) for c in u.coeffs)
+        if u not in squares:
+            return u.ints
     raise RuntimeError("no non-square found")
 
 

@@ -36,7 +36,7 @@ class Poly:
         while cs and cs[-1].is_zero():
             cs.pop()
         for c in cs:
-            if c.ctx != ctx:
+            if c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("coefficient from a different ring")
         self.coeffs = tuple(cs)
 
@@ -57,7 +57,7 @@ class Poly:
 
     def _wrap(self, other):
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError("different ring contexts")
             return other
         if isinstance(other, GRElem):
@@ -108,15 +108,18 @@ class Poly:
         other = self._wrap(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        lead_inv = other.coeffs[-1].inv()  # raises NonUnit for bad divisors
-        q = [self.ctx.zero()] * max(0, self.degree - other.degree + 1)
+        divisor = other.coeffs
+        dd = len(divisor) - 1
+        lead_inv = divisor[-1].inv()  # raises NonUnit for bad divisors
+        q = [self.ctx.zero()] * max(0, len(self.coeffs) - dd)
         rem = list(self.coeffs)
-        while len(rem) - 1 >= other.degree and rem:
-            c = rem[-1] * lead_inv
-            shift = len(rem) - 1 - other.degree
+        while len(rem) > dd:
+            # the leading term cancels exactly: drop it, subtract the rest
+            c = rem.pop() * lead_inv
+            shift = len(rem) - dd
             q[shift] = c
-            for j in range(other.degree + 1):
-                rem[shift + j] = rem[shift + j] - c * other.coeffs[j]
+            for j in range(dd):
+                rem[shift + j] = rem[shift + j] - c * divisor[j]
             while rem and rem[-1].is_zero():
                 rem.pop()
         return Poly(self.ctx, q), Poly(self.ctx, rem)
@@ -177,7 +180,7 @@ class Poly:
             return "0 @ %r" % self.ctx
         parts = []
         for i, c in enumerate(self.coeffs):
-            cs = ",".join(str(int(v)) for v in c.coeffs)
+            cs = ",".join(str(v) for v in c.ints)
             if self.ctx.m > 1:
                 cs = "(%s)" % cs
             parts.append(cs if i == 0 else "%s*x^%d" % (cs, i))
@@ -281,8 +284,10 @@ def star_symmetric_polys(ctx, n):
             yield base
 
 
+@functools.lru_cache(maxsize=None)
 def hilbert90_beta(ctx, alpha):
-    """Some beta with tau(beta)/beta = alpha, for alpha of norm 1."""
+    """Some beta with tau(beta)/beta = alpha, for alpha of norm 1; the units
+    are scanned once per (ring, alpha)."""
     if not (alpha * alpha.tau() == ctx.one()):
         raise ValueError("alpha must have norm 1")
     for beta in ctx.units():
@@ -781,7 +786,7 @@ def trace_datum_of(pos_traces, neg_traces=None):
     ctx = (pos_traces or neg_traces)[0].ctx
 
     def stack(traces):
-        return np.array([t.coeffs for t in traces],
+        return np.array([t.ints for t in traces],
                         dtype=np.int64).reshape(len(traces), ctx.m)
 
     indices, entries = trace_data_batch(ctx, stack(pos_traces),
@@ -864,7 +869,7 @@ def _datum_coefficient_choices(ctx, entries, d):
                 rec(i + 1, e + [cand])
             return
         u = ctx.elem(i // p ** _vp(i, p))
-        base = ctx.elem(list(np.asarray(rhs.coeffs) // p ** v)) * u.inv()
+        base = ctx.elem([c // p ** v for c in rhs.ints]) * u.inv()
         step = p ** (k - v)
         for w in itertools.product(range(p ** v), repeat=m):
             cand = base + ctx.elem([step * wi for wi in w])
@@ -997,7 +1002,7 @@ def factor(f):
 
     def sortkey(item):
         g = item[0]
-        return (g.degree, tuple(tuple(int(v) for v in c.coeffs) for c in g.coeffs))
+        return (g.degree, tuple(c.ints for c in g.coeffs))
 
     return sorted(merged.items(), key=sortkey)
 

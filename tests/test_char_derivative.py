@@ -439,3 +439,29 @@ def test_representative_images_match_prediction():
         spec = GroupSpec(family, M.n, ctx, sgn)
         ok, report = verify_image(M, spec)
         assert ok, report
+
+
+def test_hilbert90_beta_scans_the_units_once_per_ring_and_alpha(monkeypatch):
+    from padicmat import matrix_groups, polynomials
+    spec = GroupSpec("u", 2, F9)
+    rng = random.Random(8)
+    samples = [sample_fq(spec, rng) for _ in range(12)]
+    alphas = [min_poly_mod_p(A0).coeff(0) for A0 in samples]
+    assert len(set(alphas)) < len(alphas)
+    matrix_groups._tau_odd_unit(F9)  # its scan has its own test
+    polynomials.hilbert90_beta.cache_clear()
+    scans = []
+    units = RingContext.units
+
+    def counted(ctx):
+        scans.append(ctx)
+        return units(ctx)
+
+    monkeypatch.setattr(RingContext, "units", counted)
+    for _ in range(2):
+        for A0 in samples:
+            predicted_image(A0, spec)
+    assert scans == [F9] * len(set(alphas))
+    beta = polynomials.hilbert90_beta(F9, alphas[0])
+    assert beta.tau() == alphas[0] * beta
+    assert scans == [F9] * len(set(alphas))

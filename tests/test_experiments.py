@@ -236,6 +236,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["pass"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "u", "--n", "3", "--m", "2", "--k", "2", "--d", "2"],
+        ["--family", "so", "--n", "3", "--k", "2", "--d", "1"]])
+    def test_tv_on_u_and_so_gives_no_verdict_on_gl_cells(self, capsys, flags):
+        # the cells are GL's datum values, which u and so do not fill
+        code = cli.dispatch(["tv", "--p", "3", "--samples", "400",
+                             "--seed", "3"] + flags)
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "pass" not in out and out["noise"] > 0
+        assert out["value_space"].startswith("GL's")
+
     def test_congruence_sp(self, capsys):
         code = cli.dispatch(["congruence", "--family", "sp", "--n", "1",
                              "--p", "3", "--k", "2", "--samples", "30",

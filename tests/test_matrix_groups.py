@@ -23,6 +23,7 @@ from padicmat.matrix_groups import (
     quadratic_character,
     sample_fq,
     sample_haar,
+    sample_haar_batch,
     symplectic_form,
     _field_tables,
 )
@@ -382,8 +383,11 @@ def test_sample_haar_uniform_sl2_level2():
     spec = GroupSpec("sl", 2, ctx)
     group = enumerate_group(spec)
     assert len(group) == 648
+    batch = sample_haar_batch(spec, random.Random(113), 30000)
+    # one batch reads the stream of 30 000 batch-of-one calls
     rng = random.Random(113)
-    counts = Counter(sample_haar(spec, rng) for _ in range(30000))
+    assert all(np.array_equal(a, sample_haar(spec, rng).a) for a in batch[:50])
+    counts = Counter(Matrix(ctx, a) for a in batch)
     assert set(counts) <= set(group)
     observed = np.array([counts.get(M, 0) for M in group], dtype=float)
     stat, pval = chisquare(observed)
