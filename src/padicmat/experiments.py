@@ -22,12 +22,14 @@ from .matrix_groups import (
     GroupSpec,
     Matrix,
     char_poly_batch,
+    draw_haar_batch,
     enumerate_blocks,
     enumerate_group,
     hensel_lift_section,
     inverse_batch,
     lie_algebra_basis,
     lie_combinations,
+    lift_haar_batch,
     min_poly_mod_p,
     sample_haar_batch,
     _lie_data,
@@ -160,12 +162,40 @@ def _shard_sizes(total, shards):
     return [base + (1 if i < rem else 0) for i in range(shards)]
 
 
+# a group of whole shards holds at most this many matrix entries
+# (samples * n^2 * m), unless one shard alone holds more
+_GROUP_ENTRIES = 2 ** 14
+
+
 def _shard_batches(cfg):
-    """Each nonempty shard's Haar samples, one sample_haar_batch call each."""
+    """The nonempty shards' Haar samples, in groups of whole shards.
+
+    Each shard is drawn on its own _shard_rng (draw_haar_batch); the draws
+    of a group are lifted at once (lift_haar_batch), so the group's samples
+    are its shards' sample_haar_batch arrays, concatenated in shard order.
+    The groups bound the lift's and the extraction's temporaries
+    (_GROUP_ENTRIES).
+    """
     spec = cfg.group_spec()
+    entries = spec.size ** 2 * spec.ctx.m
+    group, held = [], 0
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
-        if count:
-            yield sample_haar_batch(spec, _shard_rng(cfg.seed, shard), count)
+        if not count:
+            continue
+        if group and (held + count) * entries > _GROUP_ENTRIES:
+            yield _lift_group(spec, group)
+            group, held = [], 0
+        group.append(draw_haar_batch(spec, _shard_rng(cfg.seed, shard),
+                                     count))
+        held += count
+    if group:
+        yield _lift_group(spec, group)
+
+
+def _lift_group(spec, draws):
+    residues, idx = zip(*draws)
+    return lift_haar_batch(spec, np.concatenate(residues),
+                           np.concatenate(idx))
 
 
 def _histogram(cfg, extract):
@@ -248,17 +278,23 @@ def run_trace_equidistribution(cfg):
     n_samples = sum(hist.values())
     tv = tv_to_uniform(hist, cells)
     noise = expected_tv_noise(cells, n_samples)
-    extra = {"occupied_cells": len(hist)}
-    # u and so data take fewer values than GL's cells (datum_value_count is
-    # family-blind), so a verdict against those cells says nothing
-    own_space = cfg.family not in ("u", "so")
-    if not own_space:
-        extra["value_space"] = ("GL's: the %s value space is not computed "
-                                "yet, so no pass verdict" % cfg.family)
+    note = _gl_cells_note(cfg)
     return TVReport(cfg, cells, n_samples, tv, noise,
                     min(hist.values()), max(hist.values()),
                     int((time.monotonic() - start) * 1000),
-                    extra=extra, verdict=own_space)
+                    extra={"occupied_cells": len(hist), **note},
+                    verdict=not note)
+
+
+def _gl_cells_note(cfg):
+    """{"value_space": ...} when the report's cells are GL's values and
+    the family does not fill them, else {}.  u and so data take fewer
+    values than GL's cells (the cell counts are family-blind), so a verdict
+    against those cells says nothing."""
+    if cfg.family not in ("u", "so"):
+        return {}
+    return {"value_space": "GL's: the %s value space is not computed yet, "
+                           "so no pass verdict" % cfg.family}
 
 
 def run_single_trace(cfg, r):
@@ -278,9 +314,11 @@ def run_single_trace(cfg, r):
     n_samples = sum(hist.values())
     tv = tv_to_uniform(hist, cells)
     noise = expected_tv_noise(cells, n_samples)
+    note = _gl_cells_note(cfg)
     return TVReport(cfg, cells, n_samples, tv, noise,
                     min(hist.values()), max(hist.values()),
-                    int((time.monotonic() - start) * 1000))
+                    int((time.monotonic() - start) * 1000),
+                    extra=note, verdict=not note)
 
 
 def run_trace_congruence(cfg):
@@ -345,11 +383,17 @@ def run_onestep_check(cfg, matrices=None):
     the d leading coefficients (intervals of width n - d) and hold exactly
     q^{dim - d} elements.  When the degree hypothesis fails for gl, the
     fiber chars concentrate on exactly q^{(k-1) deg min} distinct values;
-    for sp the below-threshold count is reported without assertion.
+    for sp the below-threshold count is reported without assertion.  The
+    palindromic char poly of Sp_n has only n/2 free top coefficients, so
+    sp refuses d > n/2 (ValueError).
     """
     if cfg.family not in ("gl", "sp"):
         raise ValueError("one-step check supports gl and sp")
     d = cfg.d2
+    if cfg.family == "sp" and d > cfg.n // 2:
+        raise ValueError("the char poly of Sp_%d is palindromic, with %d "
+                         "free top coefficients: d must be at most %d"
+                         % (cfg.n, cfg.n // 2, cfg.n // 2))
     ctx_k = cfg.context()
     ctx1 = ctx_k.reduced_context(1)
     spec1 = GroupSpec(cfg.family, cfg.n, ctx1)
@@ -400,7 +444,12 @@ def run_onestep_check(cfg, matrices=None):
 
 
 def run_fulman_consistency(cfg):
-    """Exhaustive class frequencies against the exact formulas."""
+    """Exhaustive gl or sl class frequencies against the exact formulas;
+    ValueError for the other families."""
+    if cfg.family not in ("gl", "sl"):
+        raise ValueError("the fulman check covers gl and sl only: no %s "
+                         "class census exists yet to score against "
+                         "fulman_prob_%s" % (cfg.family, cfg.family))
     ctx = cfg.context()
     if ctx.k != 1:
         raise ValueError("consistency check runs at the residue level")

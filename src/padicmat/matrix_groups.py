@@ -78,9 +78,10 @@ class Matrix:
 
     @classmethod
     def random(cls, ctx, n, rng):
-        a = np.array([rng.randrange(ctx.mod)
-                      for _ in range(n * n * ctx.m)], dtype=np.int64)
-        return cls(ctx, a.reshape(n, n, ctx.m))
+        """Entries from n^2 m draws rng.randrange(ctx.mod), in row-major
+        order with an entry's coefficients consecutive (_randbelow_bulk)."""
+        return cls(ctx, _randbelow_bulk(rng, ctx.mod, n * n * ctx.m)
+                   .reshape(n, n, ctx.m))
 
     @classmethod
     def block_diag(cls, blocks):
@@ -547,23 +548,36 @@ def _scaled_unit(ctx, n, i, j, c):
 def sample_fq(spec, rng):
     """Exactly uniform sample from G(F_q) (residue-field level).
 
-    gl and sl redraw a uniform matrix until it has full rank
-    (_is_invertible_fq), so no rejected candidate pays a determinant; sl
-    then scales row 0 by the inverse determinant (_section_batch).
+    One residue draw (_draw_fq); sl then scales row 0 by the inverse
+    determinant (_section_batch).
     """
     ctx = spec.ctx.reduced_context(1)
     spec1 = spec if spec.ctx.k == 1 else spec.reduced(1)
-    n = spec.size
+    a = _draw_fq(spec1, ctx, rng)
+    if spec.family == "sl":
+        a = _section_batch(spec1, ctx, a)
+    return Matrix(ctx, a)
+
+
+def _draw_fq(spec, ctx, rng):
+    """sample_fq's draws over the residue field ctx, as an (n, n, m) array
+    that for sl is any invertible matrix, not yet scaled to determinant 1.
+
+    gl and sl redraw a uniform matrix (Matrix.random) until it has full
+    rank (_is_invertible_fq), so no rejected candidate pays a determinant.
+    sp, so and u complete a form isometry column by column
+    (_sample_isometry); so redraws it until the determinant read off that
+    completion is 1.
+    """
     if spec.family in ("gl", "sl"):
         while True:
-            M = Matrix.random(ctx, n, rng)
+            M = Matrix.random(ctx, spec.size, rng)
             if _is_invertible_fq(M):
-                return Matrix(ctx, _section_batch(spec1, ctx, M.a))
-    # sp / so / u: column-by-column completion of a form isometry
+                return M.a
     while True:
-        M = _sample_isometry(spec1, ctx, rng)
-        if spec.family != "so" or M.det() == ctx.one():
-            return M
+        a, det = _sample_isometry(spec, ctx, rng)
+        if spec.family != "so" or det == 1:
+            return a
 
 
 def _is_invertible_fq(M):
@@ -687,63 +701,135 @@ def _solve_affine_tab(tab, rows, rhs, ncols):
     return particular, _nullspace(tab, red, pivots, ncols)
 
 
+_ISOMETRY_FORM_CACHE = {}
+
+
+def _isometry_form(spec, ctx):
+    """(B, by_row, by_col): the field-table index rows of spec's form over
+    the residue field ctx, and its nonzero entries as (index, entry) pairs
+    per row and per column.  Cached per (family, size, ctx, sign)."""
+    key = (spec.family, spec.size, ctx, spec.sign)
+    if key not in _ISOMETRY_FORM_CACHE:
+        B = _field_index(ctx, spec.form.a).tolist()
+        by_row = [[(t, b) for t, b in enumerate(row) if b] for row in B]
+        by_col = [[(t, row[c]) for t, row in enumerate(B) if row[c]]
+                  for c in range(len(B))]
+        _ISOMETRY_FORM_CACHE[key] = (B, by_row, by_col)
+    return _ISOMETRY_FORM_CACHE[key]
+
+
 def _sample_isometry(spec, ctx, rng):
-    """Uniform matrix over the field ctx whose column Gram matrix is the form.
+    """Uniform matrix over the field ctx whose column Gram matrix is the
+    form, and its determinant: an (n, n, m) array and a field-table index.
 
     Column j is uniform on the affine solutions of its pairings with the
     columns before it, redrawn until its self-pairing is right and it is
-    independent of them.
+    independent of them.  Two eliminations grow with the accepted columns
+    c_i.  The pairing system keeps the reduced echelon form of the rows
+    [c_i^t B | B_i] (for u, [c_i^* | e_i]); column n + j of those rows is
+    column j's right-hand side, so it yields the particular solution and the
+    nullspace basis of _solve_affine_tab without a fresh _rref.  A
+    candidate is reduced against the normalized echelon of the columns;
+    a nonzero remainder makes it independent, and the determinant is the
+    product of those remainders' pivots times the sign of the pivot
+    permutation.
     """
     tab = _field_tables(ctx)
-    add, mul, conj = tab.add, tab.mul, tab.conj
+    add, mul, neg, inv, conj = tab.add, tab.mul, tab.neg, tab.inv, tab.conj
     q = len(add)
     n = spec.size
     unitary = spec.family == "u"
-    B = _field_index(ctx, spec.form.a).tolist()
+    B, by_row, by_col = _isometry_form(spec, ctx)
+    system = []  # (pivot, row of width 2n) of the pairing system
+    echelon = []  # (pivot, normalized row) of the accepted columns
     cols = []
+    det = 1
     for j in range(n):
-        rows = []
-        rhs = []
-        for i, ci in enumerate(cols):
-            if unitary:
-                rows.append([conj[c] for c in ci])
-                rhs.append(1 if i == j else 0)
-            else:
-                row = []
-                for jj in range(n):
-                    acc = 0
-                    for t in range(n):
-                        acc = add[acc][mul[ci[t]][B[t][jj]]]
-                    row.append(acc)
-                rows.append(row)
-                rhs.append(B[i][j])
-        sol = _solve_affine_tab(tab, rows, rhs, n)
-        if sol is None:
-            raise RuntimeError("inconsistent Gram system (not a valid form)")
-        particular, null = sol
+        red = [row for _, row in system]
+        pivots = [pc for pc, _ in system]
+        particular = [0] * n
+        for row, pc in zip(red, pivots):
+            particular[pc] = row[n + j]
+        null = _nullspace(tab, red, pivots, n)
+        want = 1 if unitary else B[j][j]
         while True:
-            v = list(particular)
-            for bvec in null:
-                mc = mul[rng.randrange(q)]
-                v = [add[a][mc[b]] for a, b in zip(v, bvec)]
+            v = particular
+            for c, bvec in zip(_randbelow_list(rng, q, len(null)), null):
+                if c:
+                    mc = mul[c]
+                    v = [add[a][mc[b]] for a, b in zip(v, bvec)]
             val = 0
             if unitary:
                 for a in v:
                     val = add[val][mul[conj[a]][a]]
-                want = 1
             else:
-                for i in range(n):
+                for i, entries in enumerate(by_row):
                     if v[i]:
                         acc = 0
-                        bi = B[i]
-                        for t in range(n):
-                            acc = add[acc][mul[bi[t]][v[t]]]
+                        for t, b in entries:
+                            acc = add[acc][mul[b][v[t]]]
                         val = add[val][mul[v[i]][acc]]
-                want = B[j][j]
-            if val == want and len(_rref(tab, cols + [v])[0]) > j:
+            if val != want:
+                continue
+            r = v
+            for pc, erow in echelon:
+                if r[pc]:
+                    f = mul[neg[r[pc]]]
+                    r = [add[a][f[b]] for a, b in zip(r, erow)]
+            pc = next((t for t, a in enumerate(r) if a), None)
+            if pc is not None:
                 break
         cols.append(v)
-    return Matrix(ctx, tab.coeffs[np.array(cols).T])
+        det = mul[det][r[pc]]
+        iv = mul[inv[r[pc]]]
+        echelon.append((pc, [iv[a] for a in r]))
+        if j + 1 < n:
+            system = _echelon_insert(tab, system, _pairing_row(
+                tab, v, j, unitary, B, by_col))
+    # the remainders, their pivots moved onto the diagonal, are triangular
+    perm = [pc for pc, _ in echelon]
+    swaps = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    if swaps % 2:
+        det = neg[det]
+    return tab.coeffs[np.array(cols).T], det
+
+
+def _pairing_row(tab, v, j, unitary, B, by_col):
+    """The row [v^t B | B_j] (for u, [v^* | e_j]) of the pairing system."""
+    add, mul = tab.add, tab.mul
+    n = len(v)
+    if unitary:
+        return [tab.conj[a] for a in v] + [int(t == j) for t in range(n)]
+    row = []
+    for entries in by_col:
+        acc = 0
+        for t, b in entries:
+            acc = add[acc][mul[v[t]][b]]
+        row.append(acc)
+    return row + B[j]
+
+
+def _echelon_insert(tab, system, row):
+    """The reduced echelon form, as (pivot, row) pairs, of system's rows
+    and one more row independent of them: the row is reduced against the
+    system, normalized at its first nonzero entry, and that column is then
+    cleared from the other rows."""
+    add, mul, neg = tab.add, tab.mul, tab.neg
+    for pc, srow in system:
+        if row[pc]:
+            f = mul[neg[row[pc]]]
+            row = [add[a][f[b]] for a, b in zip(row, srow)]
+    pc = next(t for t, a in enumerate(row) if a)
+    iv = mul[tab.inv[row[pc]]]
+    row = [iv[a] for a in row]
+    out = []
+    for spc, srow in system:
+        if srow[pc]:
+            f = mul[neg[srow[pc]]]
+            srow = [add[a][f[b]] for a, b in zip(srow, row)]
+        out.append((spc, srow))
+    out.append((pc, row))
+    return out
 
 
 def _conj_transpose(ctx, a):
@@ -814,34 +900,62 @@ def sample_haar(spec, rng):
 def sample_haar_batch(spec, rng, count):
     """count exactly uniform samples from G(GR(p^k)), as one array.
 
-    Returns the (count, n, n, m) int64 array.  Each sample is a residue
-    sample (sample_fq), then one unipotent fiber per level: the members at
-    level j over a fixed member at level j-1 are exactly
-    M_section (I + p^{j-1} A1) with A1 ranging over the Lie algebra span.
-    A1 takes one coefficient per basis element, each drawn as
-    rng.randrange(len(pool)) in basis order (see _lie_data); for m = 1 the
-    pool is F_p in order, so the draws are randrange(p).  The section draws
-    nothing, so a sample's draws are its residue sample's, then its
-    (k - 1) * dim fiber indices, and the draw phase reads exactly these per
-    sample, in order.  The lift phase then runs once over the batch:
-    per level, one _section_batch, one lie_combinations and one mat_mul.
-    gl over m = 1 reads the same stream in blocks (_sample_gl_blocks).
+    Returns the (count, n, n, m) int64 array: the lift phase
+    (lift_haar_batch) applied to the draw phase (draw_haar_batch).  Each
+    sample is a residue sample (sample_fq), then one unipotent fiber per
+    level: the members at level j over a fixed member at level j-1 are
+    exactly M_section (I + p^{j-1} A1) with A1 ranging over the Lie algebra
+    span.
+    """
+    return lift_haar_batch(spec, *draw_haar_batch(spec, rng, count))
+
+
+def draw_haar_batch(spec, rng, count):
+    """The draw phase of sample_haar_batch: everything it reads from rng.
+
+    Returns (a, idx).  a is the (count, n, n, m) int64 array of residue
+    samples, sl's not yet scaled to determinant 1 (_draw_fq).  idx holds the
+    indices into _lie_data(spec)'s pool of the fiber coefficients, in basis
+    order, of the levels left to the lift: a (count, k - 1, dim) array.  Per
+    sample the draws are its residue sample's, then its (k - 1) * dim fiber
+    indices, each rng.randrange(len(pool)) (one _randbelow_bulk call); for
+    m = 1 the pool is F_p in order, so the draws are randrange(p).  gl over
+    m = 1 reads the same stream in blocks and lifts each block as it is
+    drawn (_sample_gl_blocks): its a is the samples, and its idx leaves no
+    level, with shape (count, 0, n^2).
     """
     ctx, n, k = spec.ctx, spec.size, spec.ctx.k
     if spec.family == "gl" and ctx.m == 1:
-        return _sample_gl_blocks(spec, rng, count)
+        return (_sample_gl_blocks(spec, rng, count),
+                np.empty((count, 0, n * n), dtype=np.intp))
     spec1 = spec if k == 1 else spec.reduced(1)
-    a = np.empty((count, n, n, ctx.m), dtype=np.int64)
+    ctx1 = ctx.reduced_context(1)
     basis, pool = _lie_data(spec) if k > 1 else ((), ())
+    a = np.empty((count, n, n, ctx.m), dtype=np.int64)
     idx = np.empty((count, k - 1, len(basis)), dtype=np.intp)
-    draws, size = range((k - 1) * len(basis)), len(pool)
     for i in range(count):
-        a[i] = sample_fq(spec1, rng).a
-        idx[i].flat = [rng.randrange(size) for _ in draws]
-    eye = Matrix.identity(ctx, n).a
-    for level in range(2, k + 1):
+        a[i] = _draw_fq(spec1, ctx1, rng)
+        if len(basis):
+            idx[i].flat = _randbelow_bulk(rng, len(pool), idx[i].size)
+    return a, idx
+
+
+def lift_haar_batch(spec, a, idx):
+    """The lift phase of sample_haar_batch over draw_haar_batch's draws.
+
+    sl's row 0 is scaled by the inverse determinant at the residue level;
+    then for each level left to the lift, one _section_batch, one
+    lie_combinations and one mat_mul run over the whole batch.  The draws
+    of several batches may be concatenated and lifted at once.
+    """
+    ctx, k = spec.ctx, spec.ctx.k
+    if spec.family == "sl":
+        a = _section_batch(spec.reduced(1), ctx.reduced_context(1), a)
+    eye = Matrix.identity(ctx, spec.size).a
+    first = k + 1 - idx.shape[1]
+    for level in range(first, k + 1):
         ctx_j = ctx.reduced_context(level)
-        fiber = lie_combinations(spec, idx[:, level - 2])
+        fiber = lie_combinations(spec, idx[:, level - first])
         fiber *= ctx.p ** (level - 1)
         a = ctx_j.mat_mul(_section_batch(spec, ctx_j, a), eye + fiber)
     return a
@@ -898,6 +1012,25 @@ def _sample_gl_blocks(spec, rng, count):
     return out
 
 
+# below this many values _randbelow_bulk draws them by _randbelow_list: a
+# numpy pass over the words costs about as much as 64 getrandbits calls
+_BULK_MIN = 64
+
+
+def _randbelow_list(rng, bound, count):
+    """[rng.randrange(bound) for _ in range(count)], as a list drawn the
+    way CPython's randrange draws each value: getrandbits of bound's bit
+    length, again while the result is >= bound."""
+    bits, width = rng.getrandbits, bound.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(width)
+        while r >= bound:
+            r = bits(width)
+        out.append(r)
+    return out
+
+
 def _randbelow_bulk(rng, bound, count):
     """[rng.randrange(bound) for _ in range(count)] as one array.
 
@@ -906,10 +1039,14 @@ def _randbelow_bulk(rng, bound, count):
     The words come from getrandbits(32 w), least significant word first.
     Each word yields at most one value, so w = the values still missing
     never draws a word past the last one the loop would use, and rng ends
-    in the loop's state.  Values are in the smallest unsigned dtype.
+    in the loop's state.  Fewer than _BULK_MIN values are drawn one at a
+    time (_randbelow_list).  Values are in the smallest unsigned dtype.
     """
     if not 0 < bound < 2 ** 32:
         raise ValueError("bound must be in 1 .. 2^32 - 1")
+    dtype = np.min_scalar_type(bound - 1)
+    if count < _BULK_MIN:
+        return np.array(_randbelow_list(rng, bound, count), dtype)
     shift = 32 - bound.bit_length()
     parts = [np.empty(0, dtype=np.uint32)]
     missing = count
@@ -919,7 +1056,7 @@ def _randbelow_bulk(rng, bound, count):
         vals = vals[vals < bound]
         parts.append(vals)
         missing -= len(vals)
-    return np.concatenate(parts).astype(np.min_scalar_type(bound - 1))
+    return np.concatenate(parts).astype(dtype)
 
 
 _FORM_INV_CACHE = {}

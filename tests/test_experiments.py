@@ -248,6 +248,39 @@ class TestCli:
         assert "pass" not in out and out["noise"] > 0
         assert out["value_space"].startswith("GL's")
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "u", "--n", "2", "--m", "2", "--samples", "2000"],
+        ["--family", "so", "--n", "3", "--samples", "500"]])
+    def test_single_trace_on_u_and_so_gives_no_verdict_on_gl_cells(
+            self, capsys, flags):
+        code = cli.dispatch(["single-trace", "--p", "3", "--k", "2",
+                             "--r", "2", "--seed", "1"] + flags)
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "pass" not in out and out["noise"] > 0
+        assert out["value_space"].startswith("GL's")
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "so", "--n", "3", "--p", "3"],
+        ["--family", "u", "--n", "2", "--p", "3", "--m", "2"]])
+    def test_fulman_refuses_families_without_a_census(self, capsys, flags):
+        assert cli.dispatch(["fulman"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "class census" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "1", "--d", "2", "--mode", "exact"],
+        ["--n", "2", "--d", "3", "--samples", "2", "--seed", "1"]])
+    def test_onestep_sp_refuses_d_above_half_the_size(self, capsys, flags):
+        # Sp's char poly is palindromic: only size/2 top coefficients are free
+        assert cli.dispatch(["onestep", "--family", "sp", "--p", "3",
+                             "--k", "2"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "palindromic" in err
+        assert cli.dispatch(["onestep", "--family", "sp", "--n", "1",
+                             "--p", "3", "--k", "2", "--d", "1",
+                             "--mode", "exact"]) == 0
+
     def test_congruence_sp(self, capsys):
         code = cli.dispatch(["congruence", "--family", "sp", "--n", "1",
                              "--p", "3", "--k", "2", "--samples", "30",
