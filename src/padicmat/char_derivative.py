@@ -36,7 +36,8 @@ from .matrix_groups import (
     _rref,
     _tau_odd_unit,
 )
-from .polynomials import Poly, hilbert90_beta, monomial, x_poly
+from .polynomials import (
+    Poly, hilbert90_beta, monomial, palindromic_basis, x_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def predicted_image(A0, spec):
         # the min poly satisfies x^d h(1/x) = eps h with eps = h(0) = +-1;
         # the image carries the same symmetry type
         eps = h.coeff(0)
-        return [co * b for b in _signed_palindromic_basis(ctx, d, eps)]
+        return [co * b for b in palindromic_basis(ctx, d, eps)]
     # unitary: F_q J + (char/min) * (h(0)-skew-palindromic, degree < d)
     iota = _tau_odd_unit(ctx)
     J = co * (h - monomial(ctx, d) + Poly(ctx, [h.coeff(0)])) * iota
@@ -188,16 +189,6 @@ def predicted_image(A0, spec):
     alpha = h.coeff(0)
     for b in _skew_palindromic_basis(ctx, d, alpha):
         out.append(co * b)
-    return out
-
-
-def _signed_palindromic_basis(ctx, n, eps):
-    """Basis of {f of degree < n : x^n f(1/x) = eps f} for eps = +-1."""
-    out = []
-    for i in range(1, (n + 1) // 2):
-        out.append(monomial(ctx, i) + monomial(ctx, n - i, eps))
-    if n % 2 == 0 and n >= 2 and eps == ctx.one():
-        out.append(monomial(ctx, n // 2))
     return out
 
 

@@ -25,14 +25,15 @@ from .matrix_groups import (
     draw_haar_batch,
     enumerate_blocks,
     enumerate_group,
-    hensel_lift_section,
     inverse_batch,
-    lie_algebra_basis,
     lie_combinations,
     lift_haar_batch,
     min_poly_mod_p,
     sample_haar_batch,
+    _GROUP_ENTRIES,
+    _fiber_table,
     _lie_data,
+    _lift_level,
 )
 from .polynomials import (
     _vp,
@@ -162,11 +163,6 @@ def _shard_sizes(total, shards):
     return [base + (1 if i < rem else 0) for i in range(shards)]
 
 
-# a group of whole shards holds at most this many matrix entries
-# (samples * n^2 * m), unless one shard alone holds more
-_GROUP_ENTRIES = 2 ** 14
-
-
 def _shard_batches(cfg):
     """The nonempty shards' Haar samples, in groups of whole shards.
 
@@ -275,26 +271,24 @@ def run_trace_equidistribution(cfg):
     ctx = cfg.context()
     cells = datum_value_count(ctx, cfg.d1, cfg.d2)
     hist = _histogram(cfg, lambda a: _datum_keys(ctx, a, cfg.d1, cfg.d2))
+    return _tv_report(cfg, start, cells, hist,
+                      {"occupied_cells": len(hist)})
+
+
+def _tv_report(cfg, start, cells, hist, extra):
+    """The TVReport of the counts hist over cells cells, timed from start.
+    u and so data take fewer values than GL's cells (the cell counts are
+    family-blind), so a verdict against those cells says nothing: for them
+    value_space says so after extra, and there is no verdict."""
     n_samples = sum(hist.values())
-    tv = tv_to_uniform(hist, cells)
-    noise = expected_tv_noise(cells, n_samples)
-    note = _gl_cells_note(cfg)
-    return TVReport(cfg, cells, n_samples, tv, noise,
+    verdict = cfg.family not in ("u", "so")
+    if not verdict:
+        extra = {**extra, "value_space": "GL's: the %s value space is not "
+                 "computed yet, so no pass verdict" % cfg.family}
+    return TVReport(cfg, cells, n_samples, tv_to_uniform(hist, cells),
+                    expected_tv_noise(cells, n_samples),
                     min(hist.values()), max(hist.values()),
-                    int((time.monotonic() - start) * 1000),
-                    extra={"occupied_cells": len(hist), **note},
-                    verdict=not note)
-
-
-def _gl_cells_note(cfg):
-    """{"value_space": ...} when the report's cells are GL's values and
-    the family does not fill them, else {}.  u and so data take fewer
-    values than GL's cells (the cell counts are family-blind), so a verdict
-    against those cells says nothing."""
-    if cfg.family not in ("u", "so"):
-        return {}
-    return {"value_space": "GL's: the %s value space is not computed yet, "
-                           "so no pass verdict" % cfg.family}
+                    int((time.monotonic() - start) * 1000), extra, verdict)
 
 
 def run_single_trace(cfg, r):
@@ -310,15 +304,7 @@ def run_single_trace(cfg, r):
             return _power_traces(ctx, a, r)[:, -1]
         return _power_traces(ctx, inverse_batch(ctx, a), -r)[:, -1]
 
-    hist = _histogram(cfg, extract)
-    n_samples = sum(hist.values())
-    tv = tv_to_uniform(hist, cells)
-    noise = expected_tv_noise(cells, n_samples)
-    note = _gl_cells_note(cfg)
-    return TVReport(cfg, cells, n_samples, tv, noise,
-                    min(hist.values()), max(hist.values()),
-                    int((time.monotonic() - start) * 1000),
-                    extra=note, verdict=not note)
+    return _tv_report(cfg, start, cells, _histogram(cfg, extract), {})
 
 
 def run_trace_congruence(cfg):
@@ -350,27 +336,20 @@ def enumerate_lie_fq(spec):
     coefficient rows in itertools.product order over the pool (the first
     basis element's coefficient varies slowest).
     """
-    basis, pool = _lie_data(spec)
-    dim, size = len(basis), len(pool)
-    if size ** dim > 10 ** 6:
-        raise ValueError("Lie-algebra fiber too large to enumerate")
-    place = size ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(size ** dim)[:, None] // place % size
-    return lie_combinations(spec, idx)
+    return lie_combinations(spec, _fiber_table(spec, 1)[:, 0])
 
 
 def onestep_fiber(A0, spec_k, lie):
     """char(A0_lift (I + p^{k-1} A1)) over the whole level-k Lie fiber.
 
-    lie is the enumerate_lie_fq array of the A1.  Returns the
-    (len(lie), n + 1, m) char_poly_batch array of coefficient vectors,
-    constant term first.
+    A0 lives at level k - 1, and lie is the enumerate_lie_fq array of the
+    A1.  Returns the (len(lie), n + 1, m) char_poly_batch array of
+    coefficient vectors, constant term first.
     """
     ctx = spec_k.ctx
-    p, k = ctx.p, ctx.k
-    L = hensel_lift_section(A0, spec_k, k, check=False)
-    pert = Matrix.identity(ctx, spec_k.size).a + lie * p ** (k - 1)
-    return char_poly_batch(ctx, ctx.mat_mul(L.a, pert))
+    if A0.ctx.k != ctx.k - 1:
+        raise ValueError("A0 must live at level k - 1")
+    return char_poly_batch(ctx, _lift_level(spec_k, ctx, A0.a, lie))
 
 
 def run_onestep_check(cfg, matrices=None):
@@ -394,10 +373,9 @@ def run_onestep_check(cfg, matrices=None):
         raise ValueError("the char poly of Sp_%d is palindromic, with %d "
                          "free top coefficients: d must be at most %d"
                          % (cfg.n, cfg.n // 2, cfg.n // 2))
-    ctx_k = cfg.context()
-    ctx1 = ctx_k.reduced_context(1)
-    spec1 = GroupSpec(cfg.family, cfg.n, ctx1)
-    spec_k = GroupSpec(cfg.family, cfg.n, ctx_k)
+    spec_k = cfg.group_spec()
+    spec1 = spec_k.reduced(1)
+    ctx1 = spec1.ctx
     lie = enumerate_lie_fq(spec1)
     q = ctx1.q
     dim = len(_lie_data(spec1)[0])
@@ -432,7 +410,7 @@ def run_onestep_check(cfg, matrices=None):
             # below the degree threshold the fiber chars concentrate on
             # exactly q^{(k-1) deg min} values; no analog is asserted for
             # sp, where the perturbation is traceless
-            ok = distinct == q ** ((ctx_k.k - 1) * degmin)
+            ok = distinct == q ** ((cfg.k - 1) * degmin)
         else:
             ok = True
         all_pass = all_pass and ok
@@ -472,12 +450,8 @@ def run_fulman_consistency(cfg):
 
 
 def group_order_at_level(spec):
-    """|G(GR(p^k))| = |G(F_q)| q^{(k-1) dim g} by fiber counting."""
-    ctx1 = spec.ctx.reduced_context(1)
-    if spec.family == "so":
-        spec1 = GroupSpec(spec.family, spec.size, ctx1, sign=spec.sign)
-    else:
-        spec1 = GroupSpec(spec.family, spec.size, ctx1)
-    base = sum(len(block) for block in enumerate_blocks(spec1))
-    dim = len(lie_algebra_basis(spec1))
-    return base * spec.ctx.q ** ((spec.ctx.k - 1) * dim)
+    """|G(GR(p^k))| = |G(F_q)| |pool|^{(k-1) dim g} by fiber counting; the
+    Lie coefficients pool is F_q, or for u the tau-fixed subfield."""
+    basis, pool = _lie_data(spec)
+    base = sum(len(block) for block in enumerate_blocks(spec.reduced(1)))
+    return base * len(pool) ** ((spec.ctx.k - 1) * len(basis))

@@ -563,32 +563,35 @@ def _draw_fq(spec, ctx, rng):
     """sample_fq's draws over the residue field ctx, as an (n, n, m) array
     that for sl is any invertible matrix, not yet scaled to determinant 1.
 
-    gl and sl redraw a uniform matrix (Matrix.random) until it has full
-    rank (_is_invertible_fq), so no rejected candidate pays a determinant.
+    gl and sl redraw a uniform matrix (Matrix.random's draws) until it has
+    full rank (_is_invertible_fq), so no candidate pays a determinant.
     sp, so and u complete a form isometry column by column
     (_sample_isometry); so redraws it until the determinant read off that
     completion is 1.
     """
     if spec.family in ("gl", "sl"):
+        n = spec.size
         while True:
-            M = Matrix.random(ctx, spec.size, rng)
-            if _is_invertible_fq(M):
-                return M.a
+            a = _randbelow_bulk(rng, ctx.mod, n * n * ctx.m)
+            a = a.reshape(n, n, ctx.m)
+            if _is_invertible_fq(ctx, a):
+                return a
     while True:
         a, det = _sample_isometry(spec, ctx, rng)
         if spec.family != "so" or det == 1:
             return a
 
 
-def _is_invertible_fq(M):
-    """Whether the residue-field matrix M has full rank, by _rref on the
-    field tables; above _FIELD_TAB_MAX_Q, whether its determinant is a
-    unit, so that no q^2 tables are built for the test."""
-    ctx = M.ctx
+def _is_invertible_fq(ctx, a):
+    """Whether the reduced (n, n, m) matrix a over the residue field ctx has
+    full rank, by _rref on the field tables (over m = 1 on a's entries);
+    above _FIELD_TAB_MAX_Q, whether its determinant is a unit, so that no
+    q^2 tables are built for the test."""
     if ctx.q > _FIELD_TAB_MAX_Q:
-        return M.det().is_unit()
-    red, _ = _rref(_field_tables(ctx), _field_index(ctx, M.a).tolist())
-    return len(red) == M.n
+        return bool(np.any(det_batch(ctx, a) % ctx.p))
+    rows = a[..., 0] if ctx.m == 1 else _field_index(ctx, a)
+    red, _ = _rref(_field_tables(ctx), rows.tolist())
+    return len(red) == len(a)
 
 
 _FieldTables = collections.namedtuple(
@@ -944,21 +947,27 @@ def lift_haar_batch(spec, a, idx):
     """The lift phase of sample_haar_batch over draw_haar_batch's draws.
 
     sl's row 0 is scaled by the inverse determinant at the residue level;
-    then for each level left to the lift, one _section_batch, one
-    lie_combinations and one mat_mul run over the whole batch.  The draws
+    then for each level left to the lift, one lie_combinations and one
+    level step (_lift_level) run over the whole batch.  The draws
     of several batches may be concatenated and lifted at once.
     """
     ctx, k = spec.ctx, spec.ctx.k
     if spec.family == "sl":
         a = _section_batch(spec.reduced(1), ctx.reduced_context(1), a)
-    eye = Matrix.identity(ctx, spec.size).a
     first = k + 1 - idx.shape[1]
     for level in range(first, k + 1):
-        ctx_j = ctx.reduced_context(level)
-        fiber = lie_combinations(spec, idx[:, level - first])
-        fiber *= ctx.p ** (level - 1)
-        a = ctx_j.mat_mul(_section_batch(spec, ctx_j, a), eye + fiber)
+        a = _lift_level(spec, ctx.reduced_context(level), a,
+                        lie_combinations(spec, idx[:, level - first]))
     return a
+
+
+def _lift_level(spec, ctx, a, fiber):
+    """The level step: the section (_section_batch) of each member of a at
+    level ctx.k - 1 times I + p^{ctx.k - 1} A1, A1 the residue matrix of
+    fiber at its batch position (a and fiber broadcast)."""
+    step = np.asarray(fiber, dtype=np.int64) * ctx.p ** (ctx.k - 1)
+    step[..., range(spec.size), range(spec.size), 0] += 1
+    return ctx.mat_mul(_section_batch(spec, ctx, a), step)
 
 
 # candidate n x n chunks drawn per block by sample_haar_batch for gl, m = 1;
@@ -978,7 +987,6 @@ def _sample_gl_blocks(spec, rng, count):
     """
     ctx, n, p, k = spec.ctx, spec.size, spec.ctx.p, spec.ctx.k
     residue = GroupSpec("gl", n, ctx.reduced_context(1))
-    eye = Matrix.identity(ctx, n).a
     out = np.empty((count, n, n, 1), dtype=np.int64)
     done = 0
     # an accepted chunk whose fibers are not all drawn yet, and those fibers
@@ -1004,9 +1012,8 @@ def _sample_gl_blocks(spec, rng, count):
         starts = np.array(starts, dtype=np.intp)
         M = chunks[starts].astype(np.int64)
         for level in range(2, k + 1):
-            fiber = chunks[starts + level - 1].astype(np.int64)
-            M = ctx.reduced_context(level).mat_mul(
-                M, eye + fiber * p ** (level - 1))
+            M = _lift_level(spec, ctx.reduced_context(level), M,
+                            chunks[starts + level - 1])
         out[done:done + len(M)] = M
         done += len(M)
     return out
@@ -1108,24 +1115,52 @@ def lie_combinations(spec, idx):
     return comb.reshape(idx.shape[:-1] + (n, n, ctx1.m))
 
 
+def _fiber_table(spec, levels):
+    """Every tuple of indices into _lie_data(spec)'s pool for the fibers of
+    levels levels, as the (|pool|^{levels dim}, levels, dim) array in
+    itertools.product order; ValueError above 10^6 tuples."""
+    basis, pool = _lie_data(spec)
+    size, width = len(pool), levels * len(basis)
+    if size ** width > 10 ** 6:
+        raise ValueError("Lie-algebra fiber too large to enumerate")
+    place = size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(size ** width)[:, None] // place % size
+    return idx.reshape(size ** width, levels, len(basis))
+
+
 # candidates tested per block by enumerate_blocks
 _ENUM_BLOCK = 1024
+# the most matrix entries (count * n^2 * m) in a group of whole shards or in
+# a block of whole residues' members (enumerate_blocks), unless one has more
+_GROUP_ENTRIES = 2 ** 14
 
 
 def enumerate_group(spec):
-    """All members at the spec's own level, by brute force (tiny sizes only).
-
-    The candidates come in itertools.product order over the entries and
-    their coefficients, and so do the members.
-    """
-    return [Matrix(spec.ctx, a) for block in enumerate_blocks(spec)
-            for a in block]
+    """All members at the spec's own level (tiny sizes only), in
+    itertools.product order over the entries and their coefficients."""
+    a = np.concatenate(list(enumerate_blocks(spec)))
+    order = np.lexsort(a.reshape(len(a), -1).T[::-1])
+    return [Matrix(spec.ctx, M) for M in a[order]]
 
 
 def enumerate_blocks(spec):
-    """The members of enumerate_group as (N, n, n, m) arrays, by blocks."""
+    """The members of enumerate_group as (N, n, n, m) arrays, by blocks:
+    every residue-level candidate is tested (member_mask), then above level
+    1 each member found is lifted (lift_haar_batch) with every tuple of
+    fiber indices.  ValueError above 10^6 candidates or members."""
     ctx, n = spec.ctx, spec.size
     width = n * n * ctx.m
+    if ctx.k > 1:
+        residues = np.concatenate(list(enumerate_blocks(spec.reduced(1))))
+        idx = _fiber_table(spec, ctx.k - 1)
+        if len(residues) * len(idx) > 10 ** 6:
+            raise ValueError("enumeration too large")
+        step = max(1, _GROUP_ENTRIES // (len(idx) * width))
+        for start in range(0, len(residues), step):
+            block = residues[start:start + step]
+            yield lift_haar_batch(spec, np.repeat(block, len(idx), axis=0),
+                                  np.tile(idx, (len(block), 1, 1)))
+        return
     count = ctx.mod ** width
     if count > 10 ** 6:
         raise ValueError("enumeration too large")

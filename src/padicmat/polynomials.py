@@ -241,16 +241,16 @@ def is_palindromic(f, n):
     return all(f.coeff(i) == f.coeff(n - i) for i in range(n + 1))
 
 
-def palindromic_basis(ctx, n):
-    """Basis of the n-palindromic polynomials of degree < n.
+def palindromic_basis(ctx, n, eps=1):
+    """Basis of {f of degree < n : x^n f(1/x) = eps f} for eps = +-1.
 
-    These are the f with x^n f(1/x) = f and deg f < n; the constant term is
-    forced to zero and coefficients pair up as a_i = a_{n-i}.
+    The constant term is forced to zero and coefficients pair up as
+    a_{n-i} = eps a_i; the middle one (n even) is free for eps = 1 only.
     """
     basis = []
     for i in range(1, (n + 1) // 2):
-        basis.append(monomial(ctx, i) + monomial(ctx, n - i))
-    if n % 2 == 0 and n >= 2:
+        basis.append(monomial(ctx, i) + monomial(ctx, n - i, eps))
+    if n % 2 == 0 and n >= 2 and eps == 1:
         basis.append(monomial(ctx, n // 2))
     return basis
 

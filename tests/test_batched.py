@@ -21,6 +21,7 @@ F3 = RingContext(3, 1, 1)
 F9 = RingContext(3, 2, 1)
 Z9 = RingContext(3, 1, 2)
 G92 = RingContext(3, 2, 2)  # GR(9, 2)
+Z27 = RingContext(3, 1, 3)
 
 
 def _reference_is_member(spec, M):
@@ -49,19 +50,43 @@ def _reference_enumerate(spec):
     return out
 
 
+def _brute_force_enumerate(spec):
+    """member_mask over every candidate of the ring, in blocks, in
+    itertools.product order: the vectorized brute force that enumerate_group
+    ran at every level before it lifted the residue-level members."""
+    ctx, n = spec.ctx, spec.size
+    width = n * n * ctx.m
+    count = ctx.mod ** width
+    place = ctx.mod ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    out = []
+    for start in range(0, count, 2 ** 14):
+        index = np.arange(start, min(start + 2 ** 14, count))
+        block = (index[:, None] // place % ctx.mod).reshape(-1, n, n, ctx.m)
+        out.extend(Matrix(ctx, a) for a in block[spec.member_mask(block)])
+    return out
+
+
 @pytest.mark.parametrize("family,size,ctx,sign", [
     ("gl", 2, F3, None), ("sl", 2, F3, None),
     ("gl", 2, Z9, None), ("sl", 2, Z9, None),
     ("sp", 2, F3, None),
     ("so", 3, F3, 1), ("so", 3, F3, -1),
     ("u", 2, F9, None),
+    ("sp", 2, Z9, None),
+    ("so", 2, Z9, 1), ("so", 2, Z9, -1),
+    ("u", 1, G92, None),
+    ("gl", 1, Z27, None), ("sl", 2, Z27, None),
 ])
 def test_enumerate_group_matches_per_candidate_loop(family, size, ctx, sign):
+    # the per-candidate loop is the reference up to 3^9 candidates; SL_2(Z/27)
+    # (27^4) is checked against the vectorized brute force alone
     spec = GroupSpec(family, size, ctx, sign)
     got = enumerate_group(spec)
-    want = _reference_enumerate(spec)
+    want = _brute_force_enumerate(spec)
     assert len(got) == len(want) > 0
     assert got == want  # same matrices in the same order
+    if ctx.mod ** (size * size * ctx.m) <= 3 ** 9:
+        assert want == _reference_enumerate(spec)
 
 
 @pytest.mark.parametrize("ctx", [Z9, G92])

@@ -176,19 +176,19 @@ def test_rank_test_agrees_with_the_determinant(pm):
     for n in (1, 2, 3, 4):
         for _ in range(75):
             M = Matrix.random(ctx, n, rng)
-            assert _is_invertible_fq(M) == M.det().is_unit()
+            assert _is_invertible_fq(ctx, M.a) == M.det().is_unit()
         # a last row summing the others is never invertible
         a = np.array(M.a)
         a[-1] = a[:-1].sum(axis=0)
-        assert not _is_invertible_fq(Matrix(ctx, a))
+        assert not _is_invertible_fq(ctx, Matrix(ctx, a).a)
 
 
 def test_rank_test_builds_no_tables_above_the_bound():
     ctx = RingContext(3, 7, 1)  # q = 2187: a determinant decides
     a = np.array(Matrix.random(ctx, 2, random.Random(5)).a)
     a[1] = 2 * a[0]
-    assert not _is_invertible_fq(Matrix(ctx, a))
-    assert _is_invertible_fq(Matrix.identity(ctx, 2))
+    assert not _is_invertible_fq(ctx, a)
+    assert _is_invertible_fq(ctx, Matrix.identity(ctx, 2).a)
     assert ctx not in _FIELD_TAB_CACHE
 
 

@@ -167,6 +167,18 @@ class TestEquidistribution:
         spec = GroupSpec("sl", 2, GR9)
         assert group_order_at_level(spec) == len(enumerate_group(spec))
 
+    @pytest.mark.parametrize("family,size,m,sign,order", [
+        ("gl", 2, 1, None, 3888), ("sl", 2, 1, None, 648),
+        ("sp", 2, 1, None, 648), ("so", 3, 1, 1, 648), ("so", 3, 1, -1, 648),
+        ("u", 1, 2, None, 12), ("u", 2, 2, None, 7776)])
+    def test_group_order_counts_the_pool_at_level_2(self, family, size, m,
+                                                    sign, order):
+        # u's fiber coefficients lie in the tau-fixed subfield: |U_1(GR(9,
+        # 2))| = 4 * 3 and |U_2(GR(9, 2))| = 96 * 3^4, not q^dim per residue
+        spec = GroupSpec(family, size, RingContext(3, m, 2), sign)
+        assert group_order_at_level(spec) == len(enumerate_group(spec)) \
+            == order
+
 
 class TestSingleTrace:
     def test_rejects_p_divisible_power(self):
@@ -294,6 +306,27 @@ class TestCli:
                              "--seed", "5"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["pass"]
+
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_so3_over_z9_is_exact_through_the_lift(self, capsys, sign):
+        # 9^9 candidates, 648 members: the residue-level members times the
+        # Lie fiber; the exact TV is ROADMAP item 1's 11/36 on 7 of 9 cells
+        flags = ["--family", "so", "--n", "3", "--p", "3", "--k", "2",
+                 "--sign", sign]
+        assert cli.dispatch(["enumerate"] + flags) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 648
+        assert cli.dispatch(["tv"] + flags + ["--d", "1",
+                                              "--mode", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["tv"] == float(Fraction(11, 36))
+        assert (out["N"], out["occupied_cells"]) == (648, 7)
+
+    def test_enumerate_gl3_over_z9_still_refuses(self, capsys):
+        # 11232 * 3^9 members, above the 10^6 bound
+        assert cli.dispatch(["enumerate", "--family", "gl", "--n", "3",
+                             "--p", "3", "--k", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "too large" in err
 
     def test_fulman_and_enumerate(self, capsys):
         assert cli.dispatch(["fulman", "--family", "sl", "--n", "2",

@@ -130,6 +130,18 @@ def test_palindromic_space_dimension():
     assert len(brute) == 27
 
 
+def test_signed_palindromic_space():
+    # x^n f(1/x) = -f pairs a_{n-i} = -a_i and kills the middle coefficient
+    for n in range(2, 8):
+        basis = palindromic_basis(F3, n, -1)
+        assert len(basis) == (n - 1) // 2
+        for b in basis:
+            assert all(b.coeff(n - i) == -b.coeff(i) for i in range(n + 1))
+    brute = [f for f in _all_polys_below(F3, 6)
+             if all(f.coeff(6 - i) == -f.coeff(i) for i in range(7))]
+    assert len(brute) == 3 ** len(palindromic_basis(F3, 6, -1)) == 9
+
+
 def _all_polys_below(ctx, n):
     for tail in itertools.product(list(ctx.elements()), repeat=n):
         yield Poly(ctx, list(tail))
