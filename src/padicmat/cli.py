@@ -27,10 +27,19 @@ from .experiments import (
 )
 from .matrix_groups import (
     Matrix,
+    encode_batch,
     enumerate_group,
     sample_haar_batch,
 )
 from .polynomials import HayesClassGroup, hayes_characters, monomial
+
+
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d"
+                                         % value)
+    return value
 
 
 def _common_flags(sub, samples=False, seed=False, trace_shape=False,
@@ -44,9 +53,13 @@ def _common_flags(sub, samples=False, seed=False, trace_shape=False,
     sub.add_argument("--sign", type=int, default=1, choices=[1, -1],
                      help="so only: the type of the form")
     if workers:
-        # accepted for the sharded Monte-Carlo runs; every run is still
-        # one process
-        sub.add_argument("--workers", type=int, default=1)
+        # the sharded Monte-Carlo runs (tv, single-trace, congruence) put
+        # their whole-shard groups on a pool of up to N processes when there
+        # is more than one group; sample and image-check read one stream
+        sub.add_argument("--workers", type=_worker_count, default=1,
+                         metavar="N",
+                         help="at most N processes; one-stream runs "
+                              "(sample, image-check) and exact mode use one")
     sub.add_argument("--out", help="write the JSON report to this path")
     sub.add_argument("--config", help="key:value file; flags win")
     if mode:
@@ -170,8 +183,7 @@ def dispatch(argv):
             cfg = _experiment_config(args)
             spec = cfg.group_spec()
             rng = _shard_rng(cfg.seed, 0)
-            rows = [Matrix(spec.ctx, a).encode()
-                    for a in sample_haar_batch(spec, rng, cfg.samples)]
+            rows = encode_batch(sample_haar_batch(spec, rng, cfg.samples))
             report = {"schema_version": SCHEMA_VERSION,
                       "config": cfg.to_dict(), "samples": rows,
                       "pass": True}
@@ -179,7 +191,7 @@ def dispatch(argv):
 
         if args.cmd == "tv":
             cfg = _experiment_config(args, trace_shape=True)
-            rep = run_trace_equidistribution(cfg)
+            rep = run_trace_equidistribution(cfg, args.workers)
             return _emit(args, rep.to_dict())
 
         if args.cmd == "onestep":
@@ -188,11 +200,11 @@ def dispatch(argv):
 
         if args.cmd == "congruence":
             cfg = _experiment_config(args)
-            return _emit(args, run_trace_congruence(cfg))
+            return _emit(args, run_trace_congruence(cfg, args.workers))
 
         if args.cmd == "single-trace":
             cfg = _experiment_config(args)
-            rep = run_single_trace(cfg, args.r)
+            rep = run_single_trace(cfg, args.r, args.workers)
             return _emit(args, rep.to_dict())
 
         if args.cmd == "fulman":

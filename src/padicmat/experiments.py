@@ -1,12 +1,16 @@
 """Statistical harness: equidistribution, congruence, and consistency checks.
 
 Monte-Carlo runs are sharded into independent RNG streams derived from the
-master seed, so the merged histogram is identical regardless of how many
-workers process the shards.
+master seed.  The shards are grouped into whole-shard groups, and one task
+(_group_task) draws, lifts and reduces a group to its cell counts (or
+congruence counts).  With workers > 1 and more than one group the tasks run
+on a process pool, built once per process and reused; the results are
+merged in group order, so every report is identical at every worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -163,51 +167,108 @@ def _shard_sizes(total, shards):
     return [base + (1 if i < rem else 0) for i in range(shards)]
 
 
-def _shard_batches(cfg):
-    """The nonempty shards' Haar samples, in groups of whole shards.
-
-    Each shard is drawn on its own _shard_rng (draw_haar_batch); the draws
-    of a group are lifted at once (lift_haar_batch), so the group's samples
-    are its shards' sample_haar_batch arrays, concatenated in shard order.
-    The groups bound the lift's and the extraction's temporaries
-    (_GROUP_ENTRIES).
-    """
+def _shard_groups(cfg):
+    """The nonempty shards as groups of whole shards, in shard order: lists
+    of (shard, count).  A group holds at most _GROUP_ENTRIES matrix entries,
+    unless one shard alone holds more; the groups bound the lift's and the
+    extraction's temporaries."""
     spec = cfg.group_spec()
     entries = spec.size ** 2 * spec.ctx.m
-    group, held = [], 0
+    groups, group, held = [], [], 0
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
         if not count:
             continue
         if group and (held + count) * entries > _GROUP_ENTRIES:
-            yield _lift_group(spec, group)
+            groups.append(group)
             group, held = [], 0
-        group.append(draw_haar_batch(spec, _shard_rng(cfg.seed, shard),
-                                     count))
+        group.append((shard, count))
         held += count
     if group:
-        yield _lift_group(spec, group)
+        groups.append(group)
+    return groups
 
 
-def _lift_group(spec, draws):
-    residues, idx = zip(*draws)
+def _group_samples(cfg, group):
+    """The Haar samples of one group of whole shards.
+
+    Each shard is drawn on its own _shard_rng (draw_haar_batch); the draws
+    of the group are lifted at once (lift_haar_batch), so the samples are
+    the shards' sample_haar_batch arrays, concatenated in shard order.
+    """
+    spec = cfg.group_spec()
+    residues, idx = zip(*(draw_haar_batch(spec, _shard_rng(cfg.seed, shard),
+                                          count) for shard, count in group))
     return lift_haar_batch(spec, np.concatenate(residues),
                            np.concatenate(idx))
 
 
-def _histogram(cfg, extract):
-    """Cell counts of extract over the exact group or the shards' samples.
+def _group_task(cfg_dict, extract, args, group):
+    """One group's work, in process or in a pool worker: extract(ctx, a,
+    *args) over the group's samples a.  Its arguments are plain data and a
+    module-level extract, so it pickles under any start method."""
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    return extract(cfg.context(), _group_samples(cfg, group), *args)
 
-    extract maps an (N, n, n, m) batch (an enumerate_blocks block in exact
-    mode, a shard's samples otherwise) to an (N, w) array of cell keys; the
-    counts are keyed by the bytes of a key row.
+
+# the worker pool, as (size, executor): built by the first run that needs
+# one and reused by later runs in the process
+_POOL = None
+
+
+def _pool(workers):
+    """The process pool of min(workers, N_SHARDS) spawned workers.  Spawn,
+    not fork: the pool's own manager thread, or a caller's, makes forking
+    unsafe.  Each spawned worker starts a fresh interpreter and imports the
+    package, once per pool."""
+    global _POOL
+    # imported by the first pool, so that runs without one do not carry
+    # the memory of these modules
+    import concurrent.futures
+    import multiprocessing
+    size = min(workers, N_SHARDS)
+    if _POOL is None or _POOL[0] != size:
+        if _POOL is not None:
+            _POOL[1].shutdown()
+        _POOL = (size, concurrent.futures.ProcessPoolExecutor(
+            size, mp_context=multiprocessing.get_context("spawn")))
+    return _POOL[1]
+
+
+def _group_results(cfg, workers, extract, *args):
+    """extract(ctx, a, *args) over each group of whole shards, in group
+    order (_group_task): in process with one worker or one group, on the
+    pool otherwise.  A task's exception is raised here, as in process."""
+    global _POOL
+    task = functools.partial(_group_task, cfg.to_dict(), extract, args)
+    groups = _shard_groups(cfg)
+    if workers == 1 or len(groups) == 1:
+        yield from map(task, groups)
+        return
+    pool = _pool(workers)
+    from concurrent.futures import BrokenExecutor
+    try:
+        yield from pool.map(task, groups)
+    except BrokenExecutor:
+        _POOL = None  # a worker died: the next run builds a new pool
+        raise
+
+
+def _histogram(cfg, workers, extract, *args):
+    """Cell counts over the exact group or the shards' samples.
+
+    extract(ctx, a, *args) maps an (N, n, n, m) batch (an enumerate_blocks
+    block in exact mode, a group's samples otherwise) to the
+    np.unique(keys, axis=0, return_counts=True) of its (N, w) array of cell
+    keys (_cell_counts); the counts are keyed by the bytes of a key row.
     """
     if cfg.mode == "exact":
-        batches = enumerate_blocks(cfg.group_spec())
+        ctx = cfg.context()
+        results = (extract(ctx, a, *args)
+                   for a in enumerate_blocks(cfg.group_spec()))
     else:
-        batches = _shard_batches(cfg)
+        results = _group_results(cfg, workers, extract, *args)
     hist = {}
-    for a in batches:
-        cells, counts = np.unique(extract(a), axis=0, return_counts=True)
+    for cells, counts in results:
         for cell, count in zip(cells, counts.tolist()):
             key = cell.tobytes()
             hist[key] = hist.get(key, 0) + count
@@ -243,6 +304,38 @@ def _datum_keys(ctx, a, d1, d2):
     return entries.reshape(len(a), len(indices) * ctx.m)
 
 
+def _cell_counts(keys):
+    """The distinct rows of the (N, w) keys and their counts."""
+    return np.unique(keys, axis=0, return_counts=True)
+
+
+def _datum_cells(ctx, a, d1, d2):
+    """The cell counts of the (d1, d2) trace datum over the batch a."""
+    return _cell_counts(_datum_keys(ctx, a, d1, d2))
+
+
+def _trace_cells(ctx, a, r):
+    """The cell counts of tr(M^r) over the batch a (r < 0: of M^-1)."""
+    if r < 0:
+        a, r = inverse_batch(ctx, a), -r
+    return _cell_counts(_power_traces(ctx, a, r)[:, -1])
+
+
+def _congruence_counts(ctx, a, i_max):
+    """(checked, violations) of tr(M^i) = sigma(tr(M^{i/p})) mod
+    p^{min(v_p(i), k)}, one check per power i = p, 2p, ... <= i_max and
+    matrix of the batch a."""
+    p, k = ctx.p, ctx.k
+    # one row per power i = p, 2p, ..., checked against sigma of row i/p
+    idx = np.arange(p, i_max + 1, p)
+    modulus = p ** np.array([min(_vp(int(i), p), k) for i in idx],
+                            dtype=np.int64)
+    rows = _power_traces(ctx, a, i_max)
+    delta = rows[:, idx - 1] - ctx.vec_sigma(rows[:, idx // p - 1])
+    bad = np.any(delta % ctx.mod % modulus[:, None], axis=-1)
+    return bad.size, int(np.count_nonzero(bad))
+
+
 def matrix_traces(M, d1, d2):
     """(negative traces tr(M^-i) i=1..d1, positive tr(M^i) i=1..d2)."""
     return tuple([GRElem(M.ctx, t) for t in traces]
@@ -261,8 +354,9 @@ def trace_datum_key(M, d1, d2):
 # experiments
 
 
-def run_trace_equidistribution(cfg):
-    """TV of the (d1,d2)-trace datum from uniform over its value space."""
+def run_trace_equidistribution(cfg, workers=1):
+    """TV of the (d1,d2)-trace datum from uniform over its value space;
+    Monte-Carlo groups run on at most workers processes."""
     d = cfg.d1 + cfg.d2
     if cfg.mode == "montecarlo":
         if cfg.d1 and d >= cfg.n - 1:
@@ -270,7 +364,7 @@ def run_trace_equidistribution(cfg):
     start = time.monotonic()
     ctx = cfg.context()
     cells = datum_value_count(ctx, cfg.d1, cfg.d2)
-    hist = _histogram(cfg, lambda a: _datum_keys(ctx, a, cfg.d1, cfg.d2))
+    hist = _histogram(cfg, workers, _datum_cells, cfg.d1, cfg.d2)
     return _tv_report(cfg, start, cells, hist,
                       {"occupied_cells": len(hist)})
 
@@ -291,39 +385,27 @@ def _tv_report(cfg, start, cells, hist, extra):
                     int((time.monotonic() - start) * 1000), extra, verdict)
 
 
-def run_single_trace(cfg, r):
-    """TV of tr(M^r) over GR(p^k) from uniform."""
+def run_single_trace(cfg, r, workers=1):
+    """TV of tr(M^r) over GR(p^k) from uniform; Monte-Carlo groups run on at
+    most workers processes."""
     if r % cfg.p == 0:
         raise ValueError("p must not divide r")
     start = time.monotonic()
     ctx = cfg.context()
     cells = ctx.q ** ctx.k if ctx.m == 1 else ctx.mod ** ctx.m
-
-    def extract(a):
-        if r > 0:
-            return _power_traces(ctx, a, r)[:, -1]
-        return _power_traces(ctx, inverse_batch(ctx, a), -r)[:, -1]
-
-    return _tv_report(cfg, start, cells, _histogram(cfg, extract), {})
+    return _tv_report(cfg, start, cells,
+                      _histogram(cfg, workers, _trace_cells, r), {})
 
 
-def run_trace_congruence(cfg):
-    """Count violations of tr(M^i) = sigma(tr(M^{i/p})) mod p^{min(v, k)}."""
-    p, k = cfg.p, cfg.k
-    i_max = cfg.i_max or 2 * p * p
-    ctx = cfg.context()
-    violations = 0
-    checked = 0
-    # one row per power i = p, 2p, ..., checked against sigma of row i/p
-    idx = np.arange(p, i_max + 1, p)
-    modulus = p ** np.array([min(_vp(int(i), p), k) for i in idx],
-                            dtype=np.int64)
-    for a in _shard_batches(cfg):
-        rows = _power_traces(ctx, a, i_max)
-        delta = rows[:, idx - 1] - ctx.vec_sigma(rows[:, idx // p - 1])
-        bad = np.any(delta % ctx.mod % modulus[:, None], axis=-1)
-        checked += bad.size
-        violations += int(np.count_nonzero(bad))
+def run_trace_congruence(cfg, workers=1):
+    """Count violations of tr(M^i) = sigma(tr(M^{i/p})) mod p^{min(v, k)};
+    the groups run on at most workers processes."""
+    i_max = cfg.i_max or 2 * cfg.p * cfg.p
+    checked = violations = 0
+    for group_checked, group_violations in _group_results(
+            cfg, workers, _congruence_counts, i_max):
+        checked += group_checked
+        violations += group_violations
     return {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
             "checked": checked, "violations": violations,
             "pass": violations == 0}

@@ -186,11 +186,21 @@ class Matrix:
         return Matrix(self.ctx, inverse_batch(self.ctx, self.a))
 
     def encode(self):
-        return ";".join(",".join(":".join(map(str, e)) for e in row)
-                        for row in self.a.tolist())
+        """The batch-of-one case of encode_batch."""
+        return encode_batch(self.a[None])[0]
 
     def __repr__(self):
         return "Matrix(%r, [%s])" % (self.ctx, self.encode())
+
+
+def encode_batch(a):
+    """The text of each matrix of an (N, r, c, m) batch: rows joined by
+    ';', entries by ',' and an entry's coefficients by ':'."""
+    a = np.asarray(a)
+    r, c, m = a.shape[-3:]
+    text = ";".join([",".join([":".join(["%d"] * m)] * c)] * r)
+    rows = a.reshape(len(a), r * c * m).tolist()
+    return [text % tuple(row) for row in rows]
 
 
 def decode_matrix(ctx, text):
@@ -949,15 +959,18 @@ def lift_haar_batch(spec, a, idx):
     sl's row 0 is scaled by the inverse determinant at the residue level;
     then for each level left to the lift, one lie_combinations and one
     level step (_lift_level) run over the whole batch.  The draws
-    of several batches may be concatenated and lifted at once.
+    of several batches may be concatenated and lifted at once.  The
+    leading axes of a (..., n, n, m) and idx (..., levels, dim) broadcast:
+    a (B, 1, ...) batch of residues against (1, F, ...) fiber indices
+    scales and sections each residue once and gives the (B, F, ...) lifts.
     """
     ctx, k = spec.ctx, spec.ctx.k
     if spec.family == "sl":
         a = _section_batch(spec.reduced(1), ctx.reduced_context(1), a)
-    first = k + 1 - idx.shape[1]
+    first = k + 1 - idx.shape[-2]
     for level in range(first, k + 1):
         a = _lift_level(spec, ctx.reduced_context(level), a,
-                        lie_combinations(spec, idx[:, level - first]))
+                        lie_combinations(spec, idx[..., level - first, :]))
     return a
 
 
@@ -1158,8 +1171,8 @@ def enumerate_blocks(spec):
         step = max(1, _GROUP_ENTRIES // (len(idx) * width))
         for start in range(0, len(residues), step):
             block = residues[start:start + step]
-            yield lift_haar_batch(spec, np.repeat(block, len(idx), axis=0),
-                                  np.tile(idx, (len(block), 1, 1)))
+            yield lift_haar_batch(spec, block[:, None],
+                                  idx[None]).reshape(-1, n, n, ctx.m)
         return
     count = ctx.mod ** width
     if count > 10 ** 6:

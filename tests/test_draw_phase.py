@@ -18,9 +18,11 @@ from padicmat import experiments
 from padicmat import matrix_groups as mg
 from padicmat.experiments import (
     ExperimentConfig,
+    _cell_counts,
+    _group_samples,
     _histogram,
     _power_traces,
-    _shard_batches,
+    _shard_groups,
     _shard_rng,
     _shard_sizes,
     run_trace_congruence,
@@ -223,11 +225,24 @@ def test_sl_section_once_per_level_and_group(monkeypatch):
 # groups of whole shards against one batch per shard
 
 
+def _shard_batches(cfg):
+    return [_group_samples(cfg, group) for group in _shard_groups(cfg)]
+
+
 def _per_shard(cfg):
     spec = cfg.group_spec()
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
         if count:
             yield sample_haar_batch(spec, _shard_rng(cfg.seed, shard), count)
+
+
+def _one_shard_groups(cfg):
+    return [[(shard, count)] for shard, count
+            in enumerate(_shard_sizes(cfg.samples, cfg.shards)) if count]
+
+
+def _trace_rows(ctx, a):
+    return _cell_counts(_power_traces(ctx, a, 3).reshape(len(a), -1))
 
 
 # family, n, (p, m, k), sign, samples: each splits into two or more groups
@@ -247,8 +262,7 @@ def test_groups_equal_one_batch_per_shard(monkeypatch, family, n, pmk, sign,
     p, m, k = pmk
     cfg = ExperimentConfig(family, n, p, m=m, k=k, sign=sign,
                            samples=samples, seed=21)
-    ctx = cfg.context()
-    groups = list(_shard_batches(cfg))
+    groups = _shard_batches(cfg)
     shards = list(_per_shard(cfg))
     if samples > 1000:
         assert 1 < len(groups) < len(shards)
@@ -256,13 +270,10 @@ def test_groups_equal_one_batch_per_shard(monkeypatch, family, n, pmk, sign,
     entries = n * n * m
     assert all(len(g) * entries <= experiments._GROUP_ENTRIES for g in groups)
 
-    def extract(a):
-        return _power_traces(ctx, a, 3).reshape(len(a), -1)
-
-    grouped_hist = _histogram(cfg, extract)
+    grouped_hist = _histogram(cfg, 1, _trace_rows)
     grouped_congruence = run_trace_congruence(cfg)
-    monkeypatch.setattr(experiments, "_shard_batches", _per_shard)
-    assert _histogram(cfg, extract) == grouped_hist
+    monkeypatch.setattr(experiments, "_shard_groups", _one_shard_groups)
+    assert _histogram(cfg, 1, _trace_rows) == grouped_hist
     assert run_trace_congruence(cfg) == grouped_congruence
 
 

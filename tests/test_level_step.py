@@ -6,6 +6,7 @@ I + p^{j-1} A1 through `matrix_groups._lift_level`; a counting wrapper
 records the level of every call.
 """
 
+import collections
 import random
 
 import numpy as np
@@ -83,3 +84,28 @@ def test_so3_over_z9_members_are_distinct_and_members(sign):
     a = np.stack([M.a for M in enumerate_group(spec)])
     assert len(a) == len(np.unique(a.reshape(len(a), -1), axis=0)) == 648
     assert spec.member_mask(a).all()
+
+
+@pytest.mark.parametrize("family,ctx", [("sl", Z27), ("sp", Z27),
+                                        ("gl", Z9)])
+def test_enumeration_sections_each_residue_once(monkeypatch, family, ctx):
+    # the residues broadcast against the fiber table: sl's residue-level
+    # scaling and the level-2 section run once per residue, and only the
+    # levels above see every member
+    sections = collections.Counter()
+    real = matrix_groups._section_batch
+
+    def counting(spec, ctx, a):
+        sections[ctx.k] += int(np.prod(np.shape(a)[:-3]))
+        return real(spec, ctx, a)
+
+    spec = GroupSpec(family, 2, ctx)
+    residues = sum(len(b) for b in enumerate_blocks(spec.reduced(1)))
+    monkeypatch.setattr(matrix_groups, "_section_batch", counting)
+    members = sum(len(b) for b in enumerate_blocks(spec))
+    assert members == residues * 3 ** ((ctx.k - 1) * (4 if family == "gl"
+                                                      else 3))
+    expect = {2: residues, 3: members} if ctx.k == 3 else {2: residues}
+    if family == "sl":
+        expect[1] = residues
+    assert dict(sections) == expect

@@ -12,6 +12,7 @@ from padicmat.matrix_groups import (
     adjugate_x_minus,
     char_poly,
     decode_matrix,
+    encode_batch,
     enumerate_group,
     form_type,
     hensel_lift_section,
@@ -439,6 +440,15 @@ def test_encode_decode_roundtrip():
         assert decode_matrix(ctx, M.encode()) == M
     M = Matrix.from_rows(F3, [[1, 2], [0, 1]])
     assert M.encode() == "1,2;0,1"
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3, 1), (4, 2, 2, 2), (3, 2, 3, 3),
+                                   (0, 2, 2, 1)])
+def test_encode_batch_matches_the_joined_entries(shape):
+    a = np.random.default_rng(7).integers(0, 243, size=shape)
+    joined = [";".join(",".join(":".join(map(str, e)) for e in row)
+                       for row in M) for M in a.tolist()]
+    assert encode_batch(a) == joined
 
 
 def test_so_form_fixed_across_levels():
