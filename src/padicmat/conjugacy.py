@@ -10,7 +10,6 @@ Reiner characteristic-polynomial law) in rational arithmetic.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .matrix_groups import (
     char_poly_batch,
     _field_index,
     _field_tables,
-    _rref,
+    _rank_batch,
 )
 from .polynomials import (
     Poly,
@@ -274,33 +273,59 @@ def class_census_gl(ctx, blocks):
 
     blocks is an iterable of (N, n, n, m) arrays.  Returns a dict mapping
     each class's canonical string to (datum, count), in the order the
-    classes first appear.  The matrices are grouped by char poly, which is
-    factored once per census; for each prime phi with multiplicity e the
-    ranks of phi(M)^j fall by multiples of deg phi down to n - e deg phi,
-    and the drops divided by deg phi are the dual partition of phi's part.
+    classes first appear: block by block, and within a block by char poly
+    (in np.unique order), then by matrix.  Each block takes a few batch
+    passes:
+
+    - one char_poly_batch, whose distinct char polys are each factored
+      once per census;
+    - a prime phi of multiplicity 1 has the part (1), since the rank of
+      phi(M) is forced to n - deg phi, so it needs no rank;
+    - for each prime phi repeated in some char poly of the block, one
+      _rank_batch over the powers phi(M)^j, j < e, of the block's matrices
+      with multiplicity e >= 2 at phi; the ranks fall by multiples of deg
+      phi down to n - e deg phi, and the drops over deg phi are the dual
+      partition of phi's part;
+    - one count of the distinct rows (char poly, ranks) (_unique_rows),
+      which counts the classes rather than the matrices.
+
+    Each Partition and datum is built once per class.
     """
     if ctx.k != 1:
         raise ValueError("class data live at the residue level")
     tab = _field_tables(ctx)
     factored = {}  # char poly key -> its factorization, for this census
-    counts = collections.Counter()  # (char poly key, partitions) -> count
+    counts = {}  # (char poly key, parts per prime) -> count
     for a in blocks:
+        n = a.shape[-3]
         chars = char_poly_batch(ctx, a)
-        keys, which = np.unique(_field_index(ctx, chars), axis=0,
-                                return_inverse=True)
-        which = which.reshape(-1)  # numpy 2.0.0 returns it as (N, 1)
-        for u, key in enumerate(keys):
-            mask = which == u
-            key = key.tobytes()
+        keys, first, which, _ = _unique_rows(_field_index(ctx, chars))
+        keys = [key.tobytes() for key in keys]
+        repeated = {}  # phi -> its multiplicity in each char poly of keys
+        for u, (key, i) in enumerate(zip(keys, first)):
             if key not in factored:
-                g = Poly(ctx, chars[np.argmax(mask)].tolist())
+                g = Poly(ctx, chars[i].tolist())
                 if g.coeff(0).is_zero():
                     raise ValueError("matrix is not invertible")
                 factored[key] = factor(g)
-            sub = a[mask]
-            parts = zip(*[_jordan_partitions(ctx, tab, sub, phi, e)
-                          for phi, e in factored[key]])
-            counts.update((key, lams) for lams in parts)
+            for phi, e in factored[key]:
+                if e > 1:
+                    repeated.setdefault(
+                        phi, np.zeros(len(keys), dtype=np.intp))[u] = e
+        columns, start = [which[:, None]], {}
+        for phi, e in repeated.items():
+            start[phi] = sum(c.shape[1] for c in columns)
+            columns.append(_power_ranks(ctx, tab, a, phi, e[which]))
+        rows = np.concatenate(columns, axis=1)
+        classes, first, _, count = _unique_rows(rows)
+        for c in np.lexsort((first, classes[:, 0])):
+            key = keys[classes[c, 0]]
+            lams = tuple(
+                _parts_from_ranks(n, phi.degree, e, classes[
+                    c, start[phi]:start[phi] + e - 1].tolist())
+                if e > 1 else (1,)
+                for phi, e in factored[key])
+            counts[key, lams] = counts.get((key, lams), 0) + int(count[c])
     census = {}
     for (key, lams), count in counts.items():
         datum = ConjClassDatum("gl", ctx, {
@@ -310,35 +335,52 @@ def class_census_gl(ctx, blocks):
     return census
 
 
-def _jordan_partitions(ctx, tab, a, phi, e):
-    """Parts of the partition at the prime phi (multiplicity e in the char
-    poly) for each matrix of the batch a, from the ranks of phi(M)^j."""
-    n, d = a.shape[-3], phi.degree
-    floor = n - e * d
+def _unique_rows(x):
+    """np.unique(x, axis=0) for a 2-d int array, with the index of each
+    distinct row's first appearance, the inverse and the counts: one
+    lexsort, several times faster than np.unique's sort of row records."""
+    order = np.lexsort(x.T[::-1])
+    x = x[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = np.any(x[1:] != x[:-1], axis=1)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return (x[new], order[new], inverse,
+            np.diff(np.append(np.flatnonzero(new), len(x))))
+
+
+def _power_ranks(ctx, tab, a, phi, e):
+    """Ranks of phi(M)^j, j = 1 .. max(e) - 1, for the matrices M of the
+    batch a whose multiplicity e at the prime phi is at least 2 (e holds
+    one per matrix), as an (N, max(e) - 1) array; -1 for the others.  One
+    _rank_batch runs over all the powers.  Past the matrix's own e - 1 the
+    rank stays at n - e deg phi, so a class still gives one row."""
+    n, live = a.shape[-3], np.flatnonzero(e > 1)
     eye = np.eye(n, dtype=np.int64)[:, :, None]
-    P = np.zeros_like(a)
+    P = np.zeros_like(a[live])
     for c in reversed(phi.coeffs):
-        P = (ctx.mat_mul(P, a) + eye * c.coeffs) % ctx.mod
-    duals = [[] for _ in range(len(a))]
-    ranks = [n] * len(a)
-    live = np.arange(len(a))
-    Q = P
-    while live.size:
-        going = np.zeros(live.size, dtype=bool)
-        for i, (t, rows) in enumerate(zip(live.tolist(),
-                                          _field_index(ctx, Q).tolist())):
-            r = len(_rref(tab, rows)[0])
-            drop = ranks[t] - r
-            if drop % d or r < floor:
-                raise RuntimeError("rank profile not a multiple of deg phi")
-            if drop == 0:
-                raise RuntimeError("rank profile stops above n - e deg phi")
-            duals[t].append(drop // d)
-            ranks[t] = r
-            going[i] = r > floor
-        live = live[going]
-        Q = ctx.mat_mul(Q[going], P[live])
-    return [Partition(dual).dual().parts for dual in duals]
+        P = (ctx.mat_mul(P, a[live]) + eye * c.coeffs) % ctx.mod
+    powers = [P]
+    for _ in range(2, e.max()):
+        powers.append(ctx.mat_mul(powers[-1], P))
+    ranks = _rank_batch(tab, _field_index(ctx, np.concatenate(powers)))
+    out = np.full((len(a), len(powers)), -1, dtype=np.intp)
+    out[live] = ranks.reshape(len(powers), len(live)).T
+    return out
+
+
+def _parts_from_ranks(n, d, e, ranks):
+    """Parts of the partition at a prime of degree d and multiplicity e,
+    from the ranks of phi(M)^j, j = 1 .. e - 1: the rank drops from n down
+    to n - e d, divided by d, are the dual partition."""
+    ranks = [n] + ranks + [n - e * d]
+    drops = [r - s for r, s in zip(ranks, ranks[1:])]
+    if any(x % d or x < 0 for x in drops) or drops != sorted(drops,
+                                                             reverse=True):
+        raise RuntimeError("rank profile not a dual partition of e deg phi")
+    dual = [x // d for x in drops if x]
+    return tuple(sum(1 for x in dual if x >= i)
+                 for i in range(1, dual[0] + 1))
 
 
 # ---------------------------------------------------------------------------

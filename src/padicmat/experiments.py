@@ -418,7 +418,7 @@ def enumerate_lie_fq(spec):
     coefficient rows in itertools.product order over the pool (the first
     basis element's coefficient varies slowest).
     """
-    return lie_combinations(spec, _fiber_table(spec, 1)[:, 0])
+    return lie_combinations(spec, _fiber_table(spec))
 
 
 def onestep_fiber(A0, spec_k, lie):

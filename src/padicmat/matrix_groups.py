@@ -619,12 +619,13 @@ def _field_tables(ctx):
     in base p, so index 0 is zero and index 1 is one.  coeffs is the
     (q, m) array of coefficient vectors; add and mul are q x q nested
     lists, neg, inv (-1 at zero) and conj (tau, or the identity for odd m)
-    lists of length q.  Every residue-field elimination (_rref) runs on
-    these indices: the isometry sampler, min_poly_mod_p, the Lie algebras,
-    the class census and the images of char_derivative.  The price is
-    2 q^2 table entries: the build takes 0.04 s and 12 MiB of peak memory
-    at q = 243, 0.6 s and 126 MiB at q = 729, and grows as q^2 beyond, so
-    the splitting fields of verify_image(extend=True) stop at q = 729.
+    lists of length q.  Every residue-field elimination runs on these
+    indices: _rref for the isometry sampler, min_poly_mod_p, the Lie
+    algebras and the images of char_derivative, and _rank_batch for the
+    class census.  The price is 2 q^2 table entries: the build takes
+    0.04 s and 12 MiB of peak memory at q = 243, 0.6 s and 126 MiB at
+    q = 729, and grows as q^2 beyond, so the splitting fields of
+    verify_image(extend=True) stop at q = 729.
     """
     tab = _FIELD_TAB_CACHE.get(ctx)
     if tab is None:
@@ -679,6 +680,32 @@ def _rref(tab, rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _rank_batch(tab, a):
+    """Rank of each matrix of the (N, r, c) batch a of field-table indices
+    (see _field_tables): one forward elimination over the whole batch,
+    column by column, that keeps only the pivot counts; _rref is the
+    single-system elimination that returns the reduced rows."""
+    add, mul = np.asarray(tab.add), np.asarray(tab.mul)
+    neg, inv = np.asarray(tab.neg), np.asarray(tab.inv)
+    a = np.array(a, dtype=np.intp)
+    rank = np.zeros(len(a), dtype=np.intp)
+    rows = np.arange(a.shape[1])
+    for c in range(a.shape[2]):
+        cand = (a[:, :, c] != 0) & (rows >= rank[:, None])
+        t = np.flatnonzero(cand.any(axis=1))
+        if not t.size:
+            continue
+        r, piv = rank[t], cand[t].argmax(axis=1)
+        prow = a[t, piv]
+        a[t, piv] = a[t, r]
+        a[t, r] = prow
+        # zero column c below row r: row_i - (a_ic / a_rc) row_r
+        f = mul[a[t, :, c], inv[prow[:, c]][:, None]] * (rows > r[:, None])
+        a[t] = add[a[t], neg[mul[f[:, :, None], prow[:, None, :]]]]
+        rank[t] += 1
+    return rank
 
 
 def _nullspace(tab, red, pivots, ncols):
@@ -956,18 +983,20 @@ def draw_haar_batch(spec, rng, count):
 def lift_haar_batch(spec, a, idx):
     """The lift phase of sample_haar_batch over draw_haar_batch's draws.
 
-    sl's row 0 is scaled by the inverse determinant at the residue level;
-    then for each level left to the lift, one lie_combinations and one
-    level step (_lift_level) run over the whole batch.  The draws
-    of several batches may be concatenated and lifted at once.  The
-    leading axes of a (..., n, n, m) and idx (..., levels, dim) broadcast:
-    a (B, 1, ...) batch of residues against (1, F, ...) fiber indices
-    scales and sections each residue once and gives the (B, F, ...) lifts.
+    a holds matrices at level k - levels, idx the fiber indices of the
+    levels above.  At the residue level, where sl's draws need not have
+    determinant 1, sl's row 0 is scaled by the inverse determinant; then
+    for each level left to the lift, one lie_combinations and one level
+    step (_lift_level) run over the whole batch.  The draws of several
+    batches may be concatenated and lifted at once.  The leading axes of
+    a (..., n, n, m) and idx (..., levels, dim) broadcast: a (B, 1, ...)
+    batch against (1, F, ...) fiber indices scales and sections each
+    member of a once and gives the (B, F, ...) lifts.
     """
     ctx, k = spec.ctx, spec.ctx.k
-    if spec.family == "sl":
-        a = _section_batch(spec.reduced(1), ctx.reduced_context(1), a)
     first = k + 1 - idx.shape[-2]
+    if spec.family == "sl" and first == 2:
+        a = _section_batch(spec.reduced(1), ctx.reduced_context(1), a)
     for level in range(first, k + 1):
         a = _lift_level(spec, ctx.reduced_context(level), a,
                         lie_combinations(spec, idx[..., level - first, :]))
@@ -1128,17 +1157,16 @@ def lie_combinations(spec, idx):
     return comb.reshape(idx.shape[:-1] + (n, n, ctx1.m))
 
 
-def _fiber_table(spec, levels):
-    """Every tuple of indices into _lie_data(spec)'s pool for the fibers of
-    levels levels, as the (|pool|^{levels dim}, levels, dim) array in
-    itertools.product order; ValueError above 10^6 tuples."""
+def _fiber_table(spec):
+    """Every tuple of indices into _lie_data(spec)'s pool for one level's
+    fiber, as the (|pool|^dim, dim) array in itertools.product order;
+    ValueError above 10^6 tuples."""
     basis, pool = _lie_data(spec)
-    size, width = len(pool), levels * len(basis)
+    size, width = len(pool), len(basis)
     if size ** width > 10 ** 6:
         raise ValueError("Lie-algebra fiber too large to enumerate")
     place = size ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(size ** width)[:, None] // place % size
-    return idx.reshape(size ** width, levels, len(basis))
+    return np.arange(size ** width)[:, None] // place % size
 
 
 # candidates tested per block by enumerate_blocks
@@ -1158,19 +1186,21 @@ def enumerate_group(spec):
 
 def enumerate_blocks(spec):
     """The members of enumerate_group as (N, n, n, m) arrays, by blocks:
-    every residue-level candidate is tested (member_mask), then above level
-    1 each member found is lifted (lift_haar_batch) with every tuple of
-    fiber indices.  ValueError above 10^6 candidates or members."""
+    every residue-level candidate is tested (member_mask), then one level
+    at a time each member one level down is lifted (lift_haar_batch) with
+    every fiber of the level, so each level's step runs once per member of
+    the level below.  ValueError above 10^6 candidates or members."""
     ctx, n = spec.ctx, spec.size
     width = n * n * ctx.m
     if ctx.k > 1:
-        residues = np.concatenate(list(enumerate_blocks(spec.reduced(1))))
-        idx = _fiber_table(spec, ctx.k - 1)
-        if len(residues) * len(idx) > 10 ** 6:
+        lower = np.concatenate(list(enumerate_blocks(
+            spec.reduced(ctx.k - 1))))
+        idx = _fiber_table(spec)[:, None]
+        if len(lower) * len(idx) > 10 ** 6:
             raise ValueError("enumeration too large")
         step = max(1, _GROUP_ENTRIES // (len(idx) * width))
-        for start in range(0, len(residues), step):
-            block = residues[start:start + step]
+        for start in range(0, len(lower), step):
+            block = lower[start:start + step]
             yield lift_haar_batch(spec, block[:, None],
                                   idx[None]).reshape(-1, n, n, ctx.m)
         return

@@ -983,28 +983,24 @@ def factor(f):
     out = []
     rem = f
     d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            out.append((rem, 1))
-            break
+    # trial division by the primes of degree d while deg rem >= 2d; below
+    # that, rem has no factor of degree < d left, so it is 1 or prime
+    while rem.degree >= 2 * d:
         for g in irreducible_polys(f.ctx, d):
             mult = 0
-            while (rem % g).is_zero():
-                rem = rem // g
-                mult += 1
+            quo, r = divmod(rem, g)
+            while r.is_zero():
+                rem, mult = quo, mult + 1
+                quo, r = divmod(rem, g)
             if mult:
                 out.append((g, mult))
+            if rem.degree < 2 * d:
+                break
         d += 1
-    # merge any duplicate tail factor
-    merged = {}
-    for g, e in out:
-        merged[g] = merged.get(g, 0) + e
-
-    def sortkey(item):
-        g = item[0]
-        return (g.degree, tuple(c.ints for c in g.coeffs))
-
-    return sorted(merged.items(), key=sortkey)
+    if rem.degree >= 1:
+        out.append((rem, 1))
+    return sorted(out, key=lambda item: (
+        item[0].degree, tuple(c.ints for c in item[0].coeffs)))
 
 
 def radical(f):

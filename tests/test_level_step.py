@@ -89,9 +89,9 @@ def test_so3_over_z9_members_are_distinct_and_members(sign):
 @pytest.mark.parametrize("family,ctx", [("sl", Z27), ("sp", Z27),
                                         ("gl", Z9)])
 def test_enumeration_sections_each_residue_once(monkeypatch, family, ctx):
-    # the residues broadcast against the fiber table: sl's residue-level
-    # scaling and the level-2 section run once per residue, and only the
-    # levels above see every member
+    # the members one level down broadcast against one level's fiber table:
+    # sl's residue-level scaling and the level-2 section run once per
+    # residue, and the level-3 section once per level-2 member
     sections = collections.Counter()
     real = matrix_groups._section_batch
 
@@ -103,9 +103,26 @@ def test_enumeration_sections_each_residue_once(monkeypatch, family, ctx):
     residues = sum(len(b) for b in enumerate_blocks(spec.reduced(1)))
     monkeypatch.setattr(matrix_groups, "_section_batch", counting)
     members = sum(len(b) for b in enumerate_blocks(spec))
-    assert members == residues * 3 ** ((ctx.k - 1) * (4 if family == "gl"
-                                                      else 3))
-    expect = {2: residues, 3: members} if ctx.k == 3 else {2: residues}
+    fiber = 3 ** (4 if family == "gl" else 3)
+    assert members == residues * fiber ** (ctx.k - 1)
+    expect = {level: residues * fiber ** (level - 2)
+              for level in range(2, ctx.k + 1)}
     if family == "sl":
         expect[1] = residues
     assert dict(sections) == expect
+
+
+def test_enumeration_lifts_each_level_once_per_member_below(monkeypatch):
+    # SL_2(Z/27): 24 residues, 27 fibers per level; the level-2 step makes
+    # the 648 members at level 2, not one product per level-3 member
+    made = collections.Counter()
+    real = matrix_groups._lift_level
+
+    def counting(spec, ctx, a, fiber):
+        out = real(spec, ctx, a, fiber)
+        made[ctx.k] += int(np.prod(out.shape[:-3]))
+        return out
+
+    monkeypatch.setattr(matrix_groups, "_lift_level", counting)
+    members = sum(len(b) for b in enumerate_blocks(GroupSpec("sl", 2, Z27)))
+    assert dict(made) == {2: 648, 3: 17496} and members == 17496

@@ -7,8 +7,11 @@ package defines it and never calls it.  Likewise `adjugate_x_minus` is the
 batch-of-one case of `adjugate_batch`, and `dchar_poly` and
 `dchar_poly_noncentral` are one-column cases of `dchar_map`, which builds
 one adjugate per matrix; and the Berkowitz constant coefficient is the one
-determinant, so no Bareiss elimination is defined.  The scan uses the
-standard library's `ast`, as test_no_asserts.py does.
+determinant, so no Bareiss elimination is defined.  `class_of_matrix_gl`
+is the batch-of-one case of `class_census_gl`, whose ranks come from one
+`_rank_batch` per block and repeated prime, so conjugacy has no use for
+the single-system `_rref`.  The scan uses the standard library's `ast`, as
+test_no_asserts.py does.
 """
 
 import ast
@@ -60,3 +63,17 @@ def test_no_second_determinant():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and "bareiss" in node.name]
     assert defs == []
+
+
+def test_batch_of_one_class_datum_is_never_called():
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = list(_uses(ast.parse(path.read_text()), "class_of_matrix_gl"))
+        if lines:
+            uses[path.name] = lines
+    assert uses == {}
+
+
+def test_conjugacy_makes_no_single_system_elimination():
+    tree = ast.parse((SRC / "conjugacy.py").read_text())
+    assert list(_uses(tree, "_rref")) == []

@@ -513,6 +513,39 @@ def test_factor_random_roundtrip():
         assert acc == f
 
 
+def _reference_factor(f):
+    """Trial division with a remainder and then a quotient per hit, until
+    d > deg rem / 2: the factor routine before it took one divmod per trial
+    and stopped at deg rem < 2d, kept as the reference."""
+    out = []
+    rem = f
+    d = 1
+    while rem.degree >= 1:
+        if d > rem.degree // 2:
+            out.append((rem, 1))
+            break
+        for g in irreducible_polys(f.ctx, d):
+            mult = 0
+            while (rem % g).is_zero():
+                rem = rem // g
+                mult += 1
+            if mult:
+                out.append((g, mult))
+        d += 1
+    merged = {}
+    for g, e in out:
+        merged[g] = merged.get(g, 0) + e
+    return sorted(merged.items(), key=lambda item: (
+        item[0].degree, tuple(c.ints for c in item[0].coeffs)))
+
+
+@pytest.mark.parametrize("ctx,top", [(F3, 6), (F5, 4)])
+def test_factor_matches_reference_on_every_small_monic(ctx, top):
+    for n in range(top + 1):
+        for f in monic_polys(ctx, n):
+            assert factor(f) == _reference_factor(f)
+
+
 def test_count_with_radical_dividing():
     xm1 = from_int_coeffs(F3, [2, 1])
     xp1 = from_int_coeffs(F3, [1, 1])
