@@ -22,85 +22,122 @@ class ContextMismatchError(ValueError):
     pass
 
 
-def _fp_polymul(a, b, p):
-    # dense little-endian coefficient lists over F_p
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+# ---- the polynomial kernel ----
+#
+# A polynomial over GR(p^k, m) is a little-endian sequence of coefficients:
+# ints in [0, p^k) when m = 1, and tuples of m such ints (GRElem.ints) when
+# m > 1.  Every function returns a list with no zero leading coefficient.
+# Poly, factor, radical and the irreducibility test all run on this kernel;
+# it lives here because default_defining_poly needs the test.
 
 
-def _fp_polymod(a, f, p):
-    # remainder of a modulo monic f, over F_p
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            a[i] = 0
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    while len(a) > df:
+def _ptrim(ctx, a):
+    while a and a[-1] == ctx._c0:
         a.pop()
-    while len(a) < df:
-        a.append(0)
     return a
 
 
-def _fp_modpow_x(e, f, p):
-    # x^e modulo monic f over F_p, by square and multiply
-    result = [1] + [0] * (len(f) - 2)
-    base = _fp_polymod([0, 1] + [0] * max(0, len(f) - 3), f, p)
+def _padd(ctx, a, b, sign=1):
+    """a + sign * b, for sign = +-1."""
+    mod = ctx.mod
+    pairs = itertools.zip_longest(a, b, fillvalue=ctx._c0)
+    if ctx.m == 1:
+        return _ptrim(ctx, [(u + sign * v) % mod for u, v in pairs])
+    return _ptrim(ctx, [tuple([(s + sign * t) % mod for s, t in zip(u, v)])
+                        for u, v in pairs])
+
+
+def _pmul(ctx, a, b):
+    if not a or not b:
+        return []
+    mod = ctx.mod
+    if ctx.m == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _ptrim(ctx, [c % mod for c in out])
+    out = [ctx._c0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b, i):
+            out[j] = tuple([(u + v) % mod for u, v
+                            in zip(out[j], ctx._mul_ints(ai, bj))])
+    return _ptrim(ctx, out)
+
+
+def _pdivmod(ctx, a, b):
+    """(quotient, remainder) of a by b.  Raises ZeroDivisionError for b = 0
+    and NonUnitError when b's leading coefficient is not a unit."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    db = len(b) - 1
+    inv = ctx._c1 if b[-1] == ctx._c1 else ctx._inv_coeff(b[-1])
+    rem = list(a)
+    top = len(rem) - db
+    quo = [ctx._c0] * top
+    mod = ctx.mod
+    if ctx.m == 1:
+        # rem stays unreduced until the end; a leading coefficient is
+        # reduced when it is popped, before it makes a quotient digit
+        low = b[:db]
+        for shift in range(top - 1, -1, -1):
+            c = rem.pop() * inv % mod
+            if c:
+                quo[shift] = c
+                for j, bj in enumerate(low, shift):
+                    rem[j] -= c * bj
+        return quo, _ptrim(ctx, [r % mod for r in rem])
+    mul, one = ctx._mul_ints, ctx._c1
+    for shift in range(top - 1, -1, -1):
+        c = rem.pop()
+        if inv != one:
+            c = mul(c, inv)
+        if any(c):
+            quo[shift] = c
+            for j in range(db):
+                rem[shift + j] = tuple([(u - v) % mod for u, v
+                                        in zip(rem[shift + j], mul(c, b[j]))])
+    return quo, _ptrim(ctx, rem)
+
+
+def _pgcd(ctx, a, b):
+    """Monic gcd over a field context (the empty list for a = b = 0)."""
+    while b:
+        a, b = b, _pdivmod(ctx, a, b)[1]
+    if not a:
+        return []
+    return _pmul(ctx, a, [ctx._inv_coeff(a[-1])])
+
+
+def _ppow(ctx, a, e, f=None):
+    """a^e for e >= 0, reduced mod f (of degree >= 1) when f is given."""
+    def mul(g, h):
+        gh = _pmul(ctx, g, h)
+        return gh if f is None else _pdivmod(ctx, gh, f)[1]
+
+    result = [ctx._c1]
     while e:
         if e & 1:
-            result = _fp_polymod(_fp_polymul(result, base, p), f, p)
-        base = _fp_polymod(_fp_polymul(base, base, p), f, p)
+            result = mul(result, a)
         e >>= 1
+        if e:
+            a = mul(a, a)
     return result
 
 
-def _fp_poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(c % p for c in b):
-        while b and b[-1] % p == 0:
-            b.pop()
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv) % p
-            if c:
-                for j in range(len(b)):
-                    r[len(r) - len(b) + j] = (r[len(r) - len(b) + j] - c * b[j]) % p
-            r.pop()
-            if len(r) < len(b):
-                break
-        a, b = b, r
-    while a and a[-1] % p == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible_fp(coeffs, p):
-    """Monic polynomial (little-endian, leading coeff 1) irreducible over F_p."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    # x^(p^m) == x mod f, and gcd(x^(p^(m/l)) - x, f) = 1 for primes l | m
-    xq = _fp_modpow_x(p ** m, coeffs, p)
-    target = [0, 1] + [0] * (m - 2)
-    if xq != target[: m]:
-        return False
-    for l in {d for d in range(2, m + 1) if m % d == 0 and _is_prime(d)}:
-        sub = _fp_modpow_x(p ** (m // l), coeffs, p)
-        diff = [(sub[i] - (1 if i == 1 else 0)) % p for i in range(m)]
-        g = _fp_poly_gcd(coeffs, diff + [0], p)
-        if len(g) > 1:
+def _pirreducible(ctx, f):
+    """Ben-Or's test over a field context F_q: monic f of degree n >= 1 is
+    irreducible iff gcd(x^(q^j) - x, f) = 1 for every j <= n/2.  A
+    reducible f has a prime factor of some degree j <= n/2, which divides
+    x^(q^j) - x; a nontrivial gcd at j < n is a product of such factors."""
+    x = [ctx._c0, ctx._c1]
+    y = x
+    for _ in range((len(f) - 1) // 2):
+        y = _ppow(ctx, y, ctx.q, f)
+        if len(_pgcd(ctx, f, _padd(ctx, y, x, -1))) > 1:
             return False
-    return True
+    return len(f) > 1
 
 
 def _is_prime(n):
@@ -116,12 +153,11 @@ def default_defining_poly(p, m):
     """
     if m == 1:
         return (0, 1)
-    for idx in range(p ** m):
-        # lex order on (c0, ..., c_{m-1}): last coefficient varies fastest
-        c = [(idx // p ** (m - 1 - j)) % p for j in range(m)]
-        cand = c + [1]
-        if _is_irreducible_fp(cand, p):
-            return tuple(cand)
+    fp = RingContext(p, 1, 1)
+    # lex order on (c0, ..., c_{m-1}): last coefficient varies fastest
+    for c in itertools.product(range(p), repeat=m):
+        if _pirreducible(fp, c + (1,)):
+            return c + (1,)
     raise RuntimeError("no irreducible polynomial found")
 
 
@@ -152,7 +188,8 @@ class RingContext:
         defining_poly = tuple(int(c) % self.mod for c in defining_poly)
         if len(defining_poly) != m + 1 or defining_poly[m] != 1:
             raise ValueError("defining_poly must be monic of degree m")
-        if m > 1 and not _is_irreducible_fp([c % p for c in defining_poly], p):
+        if m > 1 and not _pirreducible(RingContext(p, 1, 1),
+                                       [c % p for c in defining_poly]):
             raise ValueError("defining_poly must be irreducible mod p")
         self.defining_poly = defining_poly
         self._build_tables()
@@ -176,6 +213,9 @@ class RingContext:
         self._red_rows = red[m:].tolist()
         self._sigma_mat = None
         self._zeros = (0,) * (m - 1)
+        # zero and one as coefficients of the polynomial kernel
+        self._c0, self._c1 = ((0, 1) if m == 1
+                              else ((0,) * m, (1,) + self._zeros))
         self._hash = hash((p, m, self.k, self.defining_poly))
 
     # ---- vectorized coefficient helpers (arrays of shape (..., m)) ----
@@ -306,6 +346,18 @@ class RingContext:
                 for i, r in enumerate(row):
                     out[i] += c * r
         return tuple([v % mod for v in out])
+
+    def _inv_coeff(self, c):
+        """Inverse of a polynomial-kernel coefficient (an int for m = 1, a
+        tuple for m > 1); NonUnitError unless it is a unit."""
+        if self.m == 1:
+            if c % self.p == 0:
+                raise NonUnitError("not a unit")
+            return pow(c, -1, self.mod)
+        if not any(a % self.p for a in c):
+            raise NonUnitError("not a unit")
+        # a^(|GR(p^k, m)^x| - 1) is the inverse of the unit a
+        return self._pow_ints(c, (self.q - 1) * self.q ** (self.k - 1) - 1)
 
     def _pow_ints(self, a, e):
         """a^e for a coefficient tuple a and e >= 0, for m > 1."""
@@ -473,14 +525,10 @@ class GRElem:
         return _elem(ctx, ctx._pow_ints(self.ints, e))
 
     def inv(self):
-        if not self.is_unit():
-            raise NonUnitError("not a unit")
         ctx = self.ctx
         if ctx.m == 1:
-            return _elem(ctx, (pow(self.ints[0], -1, ctx.mod),))
-        # a^(|GR(p^k, m)^x| - 1) is the inverse of the unit a
-        order = (ctx.q - 1) * ctx.q ** (ctx.k - 1)
-        return _elem(ctx, ctx._pow_ints(self.ints, order - 1))
+            return _elem(ctx, (ctx._inv_coeff(self.ints[0]),))
+        return _elem(ctx, ctx._inv_coeff(self.ints))
 
     def is_unit(self):
         p = self.ctx.p

@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from .galois_rings import GRElem, ContextMismatchError
+from .galois_rings import (
+    GRElem, ContextMismatchError, _elem, _padd, _pdivmod, _pgcd,
+    _pirreducible, _pmul, _ppow, _ptrim)
 
 
 class DivisibilityViolation(ValueError):
@@ -26,33 +28,47 @@ class EnumerationBound(ValueError):
 
 
 class Poly:
-    """Dense univariate polynomial; coeffs[i] is the coefficient of x^i."""
+    """Dense univariate polynomial; coeffs[i] is the coefficient of x^i.
 
-    __slots__ = ("ctx", "coeffs")
+    The polynomial is held as its polynomial-kernel coefficients (see
+    `galois_rings`): ints for m = 1, tuples of m ints for m > 1, with no
+    zero leading coefficient.  All arithmetic runs on them; `coeffs` and
+    `coeff` are GRElem views, built when they are read.
+    """
+
+    __slots__ = ("ctx", "_ints", "_elems")
 
     def __init__(self, ctx, coeffs):
-        self.ctx = ctx
-        cs = [c if isinstance(c, GRElem) else ctx.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        for c in cs:
-            if c.ctx is not ctx and c.ctx != ctx:
+        ints = []
+        for c in coeffs:
+            if not isinstance(c, GRElem):
+                c = ctx.elem(c)
+            elif c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("coefficient from a different ring")
-        self.coeffs = tuple(cs)
+            ints.append(c.ints[0] if ctx.m == 1 else c.ints)
+        self.ctx = ctx
+        self._ints = tuple(_ptrim(ctx, ints))
+        self._elems = None
+
+    @property
+    def coeffs(self):
+        if self._elems is None:
+            self._elems = tuple([_coeff_elem(self.ctx, c) for c in self._ints])
+        return self._elems
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
+        return bool(self._ints) and self._ints[-1] == self.ctx._c1
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._ints):
+            return _coeff_elem(self.ctx, self._ints[i])
         return self.ctx.zero()
 
     def _wrap(self, other):
@@ -60,69 +76,36 @@ class Poly:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError("different ring contexts")
             return other
-        if isinstance(other, GRElem):
-            return Poly(self.ctx, [other])
-        return Poly(self.ctx, [self.ctx.elem(other)])
+        return Poly(self.ctx, [other])
 
     def __add__(self, other):
-        other = self._wrap(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return _poly(self.ctx, _padd(self.ctx, self._ints,
+                                     self._wrap(other)._ints))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return _poly(self.ctx, _padd(self.ctx, self._ints,
+                                     self._wrap(other)._ints, -1))
 
     def __rsub__(self, other):
         return self._wrap(other) - self
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return _poly(self.ctx, _padd(self.ctx, (), self._ints, -1))
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.ctx, [])
-        out = [self.ctx.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        return _poly(self.ctx, _pmul(self.ctx, self._ints,
+                                     self._wrap(other)._ints))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        result = Poly(self.ctx, [1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _poly(self.ctx, _ppow(self.ctx, self._ints, e))
 
     def __divmod__(self, other):
-        other = self._wrap(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        divisor = other.coeffs
-        dd = len(divisor) - 1
-        lead_inv = divisor[-1].inv()  # raises NonUnit for bad divisors
-        q = [self.ctx.zero()] * max(0, len(self.coeffs) - dd)
-        rem = list(self.coeffs)
-        while len(rem) > dd:
-            # the leading term cancels exactly: drop it, subtract the rest
-            c = rem.pop() * lead_inv
-            shift = len(rem) - dd
-            q[shift] = c
-            for j in range(dd):
-                rem[shift + j] = rem[shift + j] - c * divisor[j]
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(self.ctx, q), Poly(self.ctx, rem)
+        q, r = _pdivmod(self.ctx, self._ints, self._wrap(other)._ints)
+        return _poly(self.ctx, q), _poly(self.ctx, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -131,25 +114,26 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, a):
-        if not isinstance(a, GRElem):
-            a = self.ctx.elem(a)
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        # f(a) is the remainder of f modulo x - a
+        ctx = self.ctx
+        x_minus_a = _padd(ctx, (ctx._c0, ctx._c1), Poly(ctx, [a])._ints, -1)
+        r = _pdivmod(ctx, self._ints, x_minus_a)[1]
+        return _coeff_elem(ctx, r[0]) if r else ctx.zero()
 
     def derivative(self):
-        return Poly(self.ctx, [i * self.coeffs[i] for i in range(1, len(self.coeffs))])
+        ctx, mod = self.ctx, self.ctx.mod
+        if ctx.m == 1:
+            ints = [i * c % mod for i, c in enumerate(self._ints)]
+        else:
+            ints = [tuple([i * v % mod for v in c])
+                    for i, c in enumerate(self._ints)]
+        return _poly(ctx, _ptrim(ctx, ints[1:]))
 
     def gcd(self, other):
         if self.ctx.k != 1:
             raise ValueError("gcd is only defined over field contexts")
-        a, b = self, self._wrap(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * a.coeffs[-1].inv()
+        return _poly(self.ctx, _pgcd(self.ctx, self._ints,
+                                     self._wrap(other)._ints))
 
     def sigma(self):
         return Poly(self.ctx, [c.sigma() for c in self.coeffs])
@@ -164,13 +148,15 @@ class Poly:
         """Multiply by x^t."""
         if self.is_zero():
             return self
-        return Poly(self.ctx, [self.ctx.zero()] * t + list(self.coeffs))
+        return _poly(self.ctx, (self.ctx._c0,) * t + self._ints)
 
     def __eq__(self, other):
-        if isinstance(other, (int, GRElem)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, GRElem)):
+                return False
             other = self._wrap(other)
-        return (isinstance(other, Poly) and self.ctx == other.ctx
-                and self.coeffs == other.coeffs)
+        return self._ints == other._ints and (other.ctx is self.ctx
+                                              or other.ctx == self.ctx)
 
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
@@ -190,6 +176,22 @@ class Poly:
         return self.encode()
 
 
+def _poly(ctx, ints):
+    """The Poly of trimmed polynomial-kernel coefficients (no checks)."""
+    f = object.__new__(Poly)
+    f.ctx = ctx
+    f._ints = tuple(ints)
+    f._elems = None
+    return f
+
+
+@functools.lru_cache(maxsize=4096)
+def _coeff_elem(ctx, c):
+    """The GRElem of a kernel coefficient; GRElems are immutable, so the
+    views of every Poly share them."""
+    return _elem(ctx, (c,) if ctx.m == 1 else c)
+
+
 def x_poly(ctx):
     return Poly(ctx, [0, 1])
 
@@ -205,9 +207,19 @@ def from_int_coeffs(ctx, ints):
 
 def monic_polys(ctx, n):
     """All monic polynomials of degree n over the context, lexicographically."""
-    one = ctx.one()
-    for tail in itertools.product(list(ctx.elements()), repeat=n):
-        yield Poly(ctx, list(tail) + [one])
+    for f in _monic_ints(ctx, n):
+        yield _poly(ctx, f)
+
+
+def _coeff_values(ctx):
+    """Every kernel coefficient, in the order of ctx.elements()."""
+    return [c.ints[0] if ctx.m == 1 else c.ints for c in ctx.elements()]
+
+
+def _monic_ints(ctx, n):
+    one = (ctx._c1,)
+    for tail in itertools.product(_coeff_values(ctx), repeat=n):
+        yield tail + one
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +228,9 @@ def monic_polys(ctx, n):
 
 def reciprocal(f):
     """x^deg(f) f(1/x) / f(0); an involution on monics with unit constant."""
-    c0_inv = f.coeff(0).inv()
-    return Poly(f.ctx, [c * c0_inv for c in reversed(f.coeffs)])
+    ctx = f.ctx
+    c0 = f._ints[0] if f._ints else ctx._c0
+    return _poly(ctx, _pmul(ctx, f._ints[::-1], [ctx._inv_coeff(c0)]))
 
 
 def skew_reciprocal(f):
@@ -399,23 +412,15 @@ def hayes_label(f, l, H):
 
 
 def _euler_phi_poly(H):
-    """Order of (F_q[x]/H)^x for monic H over a field context."""
+    """Order of (F_q[x]/H)^x for monic H over a field context: the product
+    of q^(e deg phi) - q^((e - 1) deg phi) over the prime powers phi^e of H."""
     if H.degree == 0:
         return 1
-    count = 0
-    for r in _residues(H.ctx, H.degree):
-        g = H if r.is_zero() else r.gcd(H)
-        if g.degree == 0 and not g.is_zero():
-            count += 1
-    return count
-
-
-def _residues(ctx, deg):
-    if deg == 0:
-        yield Poly(ctx, [])
-        return
-    for tail in itertools.product(list(ctx.elements()), repeat=deg):
-        yield Poly(ctx, list(tail))
+    q, out = H.ctx.q, 1
+    for phi, e in _factor_ints(H, every_monic=True):
+        d = len(phi) - 1
+        out *= q ** (e * d) - q ** ((e - 1) * d)
+    return out
 
 
 class HayesClassGroup:
@@ -437,12 +442,12 @@ class HayesClassGroup:
         if self.order > bound:
             raise EnumerationBound("unit group too large: %d" % self.order)
         self._reps = {}
+        residues = [_poly(ctx, _ptrim(ctx, list(r))) for r in
+                    itertools.product(_coeff_values(ctx), repeat=H.degree)]
         for window in itertools.product(list(ctx.elements()), repeat=l):
-            for r in _residues(ctx, H.degree):
-                if H.degree >= 1:
-                    g = r.gcd(H) if not r.is_zero() else H
-                    if not (g.degree == 0 and not g.is_zero()):
-                        continue
+            for r in residues:
+                if r.gcd(H).degree != 0:    # r is not a unit mod H
+                    continue
                 rep = self._canonical(window, r)
                 self._reps[hayes_label(rep, l, H)] = rep
         if len(self._reps) != self.order:
@@ -452,21 +457,14 @@ class HayesClassGroup:
 
     def _canonical(self, window, residue):
         ctx, l, H = self.ctx, self.l, self.H
-        n = l + H.degree
-        f = monomial(ctx, n)
-        for j, c in enumerate(window, start=1):
-            f = f + c * monomial(ctx, n - j)
-        if H.degree >= 1:
-            f = f + (residue - f % H) % H
-        return f
+        f = Poly(ctx, [0] * H.degree + list(window[::-1]) + [1])
+        return f + (residue - f % H) % H
 
     def label(self, f):
         return hayes_label(f, self.l, self.H)
 
     def contains(self, f):
         """Monic f coprime to H (always true when deg H = 0)."""
-        if self.H.degree == 0:
-            return f.is_monic()
         return f.is_monic() and f.gcd(self.H).degree == 0
 
     def rep(self, f):
@@ -477,8 +475,7 @@ class HayesClassGroup:
 
     def identity(self):
         return self._canonical((self.ctx.zero(),) * self.l,
-                               Poly(self.ctx, [1]) % self.H
-                               if self.H.degree >= 1 else Poly(self.ctx, []))
+                               Poly(self.ctx, [1]) % self.H)
 
     def elements(self):
         return list(self._reps.values())
@@ -682,14 +679,18 @@ def interval_membership(h, g, width, reversed_=False):
     Membership means h monic of the same degree as g with deg(g - h) < width;
     the reversed variant requires h(0) invertible and tests x^n h(1/x)/h(0).
     """
-    n = g.degree
-    if reversed_:
-        if not (h.is_monic() and h.degree == n and h.coeff(0).is_unit()):
-            return False
-        h = reciprocal(h)
-    if not (h.is_monic() and h.degree == n):
+    if h.ctx is not g.ctx and h.ctx != g.ctx:
+        raise ContextMismatchError("different ring contexts")
+    a, b = h._ints, g._ints
+    if not a or len(a) != len(b) or a[-1] != h.ctx._c1:
         return False
-    return (g - h).degree < width
+    if reversed_:
+        if not h.coeff(0).is_unit():
+            return False
+        a = reciprocal(h)._ints
+    # h and g have the same degree n, so deg(g - h) < width exactly when
+    # their coefficients agree at every index from width to n
+    return width >= 0 and a[width:] == b[width:]
 
 
 # ---------------------------------------------------------------------------
@@ -941,74 +942,88 @@ _IRR_CACHE_MAX_Q = 9
 
 
 @functools.lru_cache(maxsize=None)
-def _irreducibles_cached(ctx, max_deg):
+def _irreducibles_cached(ctx, deg):
+    """The monic irreducibles of degree deg, in monic_polys order, by
+    Ben-Or's test."""
     if ctx.k != 1:
         raise ValueError("irreducible enumeration needs a field context")
-    if max_deg > _IRR_CACHE_MAX_DEG or ctx.q > _IRR_CACHE_MAX_Q:
+    if deg > _IRR_CACHE_MAX_DEG or ctx.q > _IRR_CACHE_MAX_Q:
         raise EnumerationBound("irreducible cache capped at degree %d, q <= %d"
                                % (_IRR_CACHE_MAX_DEG, _IRR_CACHE_MAX_Q))
-    table = {0: []}
-    for d in range(1, max_deg + 1):
-        found = []
-        lower = [g for dd in range(1, d // 2 + 1) for g in table[dd]]
-        for f in monic_polys(ctx, d):
-            if all(not (f % g).is_zero() for g in lower):
-                found.append(f)
-        table[d] = found
-    return table
+    return tuple(_poly(ctx, f) for f in _monic_ints(ctx, deg)
+                 if _pirreducible(ctx, f))
 
 
 def irreducible_polys(ctx, deg):
     """All monic irreducibles of the exact degree over a field context."""
-    return list(_irreducibles_cached(ctx, deg)[deg])
+    return list(_irreducibles_cached(ctx, deg))
 
 
 def is_irreducible(f):
     if f.degree < 1:
         return False
-    lower = _irreducibles_cached(f.ctx, max(1, f.degree // 2))
-    for d in range(1, f.degree // 2 + 1):
-        for g in lower[d]:
-            if (f % g).is_zero():
-                return False
-    return True
-
-
-def factor(f):
-    """Factorization of monic f over a field context: list of (prime, mult)."""
     if f.ctx.k != 1:
+        raise ValueError("irreducibility test needs a field context")
+    ctx = f.ctx
+    return _pirreducible(ctx, _pmul(ctx, f._ints,
+                                    [ctx._inv_coeff(f._ints[-1])]))
+
+
+def _factor_ints(f, every_monic=False):
+    """Trial division of monic f: (prime, mult) pairs of kernel coefficient
+    tuples, sorted by (degree, coefficients).
+
+    The divisors tried are the irreducible tables, or with every_monic all
+    monics, which needs no table and so no cap on q or the degree: when
+    degree d is tried, rem has no factor of lower degree left, so only the
+    primes of degree d can divide it.
+    """
+    ctx = f.ctx
+    if ctx.k != 1:
         raise ValueError("factorization only over field contexts")
     if not f.is_monic():
         raise ValueError("f must be monic")
     out = []
-    rem = f
+    rem = f._ints
     d = 1
     # trial division by the primes of degree d while deg rem >= 2d; below
     # that, rem has no factor of degree < d left, so it is 1 or prime
-    while rem.degree >= 2 * d:
-        for g in irreducible_polys(f.ctx, d):
+    while len(rem) > 2 * d:
+        divisors = (_monic_ints(ctx, d) if every_monic else
+                    (p._ints for p in _irreducibles_cached(ctx, d)))
+        for g in divisors:
             mult = 0
-            quo, r = divmod(rem, g)
-            while r.is_zero():
+            quo, r = _pdivmod(ctx, rem, g)
+            while not r:
                 rem, mult = quo, mult + 1
-                quo, r = divmod(rem, g)
+                quo, r = _pdivmod(ctx, rem, g)
             if mult:
                 out.append((g, mult))
-            if rem.degree < 2 * d:
+            if len(rem) <= 2 * d:
                 break
         d += 1
-    if rem.degree >= 1:
-        out.append((rem, 1))
-    return sorted(out, key=lambda item: (
-        item[0].degree, tuple(c.ints for c in item[0].coeffs)))
+    if len(rem) > 1:
+        out.append((tuple(rem), 1))
+    return sorted(out, key=lambda item: (len(item[0]), item[0]))
+
+
+def factor(f):
+    """Factorization of monic f over a field context: list of (prime, mult),
+    sorted by (degree, coefficients).
+
+    Trial division runs on the polynomial kernel's coefficient ints (see
+    `galois_rings`); Polys are built only for the primes returned.
+    """
+    return [(_poly(f.ctx, g), e) for g, e in _factor_ints(f)]
 
 
 def radical(f):
     """Product of the distinct monic irreducible divisors of monic f."""
-    acc = Poly(f.ctx, [1])
-    for g, _ in factor(f):
-        acc = acc * g
-    return acc
+    ctx = f.ctx
+    acc = [ctx._c1]
+    for g, _ in _factor_ints(f):
+        acc = _pmul(ctx, acc, g)
+    return _poly(ctx, acc)
 
 
 def count_with_radical_dividing(g, n):
@@ -1041,9 +1056,9 @@ def count_small_radical(ctx, n, d):
     total = 0
     for gd in range(1, d + 1):
         for g in monic_polys(ctx, gd):
-            fs = factor(g)
+            fs = _factor_ints(g)
             if any(e > 1 for _, e in fs):
                 continue
-            degs = [p.degree for p, _ in fs]
+            degs = [len(p) - 1 for p, _ in fs]
             total += _count_compositions(degs, n, minimum=1)
     return total

@@ -11,11 +11,19 @@ determinant, so no Bareiss elimination is defined.  `class_of_matrix_gl`
 is the batch-of-one case of `class_census_gl`, whose ranks come from one
 `_rank_batch` per block and repeated prime, so conjugacy has no use for
 the single-system `_rref`.  The scan uses the standard library's `ast`, as
-test_no_asserts.py does.
+test_no_asserts.py does.  Polynomials follow the same rule one level
+down: `factor` and `radical` run on the int polynomial kernel in
+`galois_rings`, never on scalar GRElem arithmetic, and that kernel has no
+twin there.
 """
 
 import ast
 import pathlib
+
+import pytest
+
+from padicmat import galois_rings, polynomials
+from padicmat.galois_rings import GRElem, RingContext
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "padicmat"
 
@@ -77,3 +85,36 @@ def test_batch_of_one_class_datum_is_never_called():
 def test_conjugacy_makes_no_single_system_elimination():
     tree = ast.parse((SRC / "conjugacy.py").read_text())
     assert list(_uses(tree, "_rref")) == []
+
+
+def test_factor_and_radical_make_no_scalar_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar GRElem arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__"):
+        monkeypatch.setattr(GRElem, name, refuse)
+    with pytest.raises(AssertionError):
+        RingContext(3, 1, 1).one() * 2
+    # the irreducible tables are rebuilt under the patch as well
+    polynomials._irreducibles_cached.cache_clear()
+    for ctx in (RingContext(3, 1, 1), RingContext(3, 2, 1)):
+        for n in range(5):
+            for f in polynomials.monic_polys(ctx, n):
+                polynomials.factor(f)
+                polynomials.radical(f)
+
+
+def test_galois_rings_has_no_second_polynomial_kernel():
+    for name in ("_fp_polymul", "_fp_polymod", "_fp_poly_gcd",
+                 "_fp_modpow_x", "_is_irreducible_fp"):
+        assert not hasattr(galois_rings, name)
+    # one irreducibility test: every caller goes through Ben-Or's test
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and list(
+                    _uses(node, "_pirreducible")):
+                callers.add(node.name)
+    assert callers == {"default_defining_poly", "__init__", "is_irreducible",
+                       "_irreducibles_cached"}
