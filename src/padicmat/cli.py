@@ -31,7 +31,7 @@ from .matrix_groups import (
     enumerate_group,
     sample_haar_batch,
 )
-from .polynomials import HayesClassGroup, hayes_characters, monomial
+from .polynomials import hayes_characters, monomial
 
 
 def _worker_count(text):
@@ -232,11 +232,10 @@ def dispatch(argv):
             from .galois_rings import RingContext
             ctx = RingContext(args.p, args.m, 1)
             H = monomial(ctx, args.h_deg)
-            group = HayesClassGroup(ctx, args.l, H)
             chars = hayes_characters(ctx, args.l, H)
             report = {"schema_version": SCHEMA_VERSION,
                       "p": args.p, "m": args.m, "l": args.l,
-                      "h_deg": args.h_deg, "order": group.order,
+                      "h_deg": args.h_deg, "order": chars[0].group.order,
                       "characters": len(chars), "pass": True}
             return _emit(args, report)
 

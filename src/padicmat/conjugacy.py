@@ -4,8 +4,10 @@ Conjugacy classes of the classical groups over F_q are parameterized by
 assigning a partition to each monic irreducible polynomial (with sign
 decorations and pairing constraints depending on the family).  This module
 provides the partition bookkeeping, reads the class datum off a matrix, and
-evaluates the exact class probabilities (Fulman's product formulas and the
-Reiner characteristic-polynomial law) in rational arithmetic.
+evaluates the exact class probabilities in rational arithmetic: one Fulman
+product (_fulman_prob) serves gl, sp, so and u, with one factor per orbit of
+the pairing phi <-> phi* (_orbits), and the Reiner characteristic-polynomial
+law.  Enumeration and the min-poly law walk the same orbits.
 """
 
 from __future__ import annotations
@@ -188,35 +190,32 @@ class ConjClassDatum:
                    for phi, (lam, _) in self.entries.items())
 
     def _validate(self):
-        fam = self.family
-        for phi, (lam, signs) in self.entries.items():
+        fam, entries = self.family, self.entries
+        for phi, (_, signs) in entries.items():
             if not phi.is_monic() or phi.degree < 1:
                 raise ValueError("keys must be monic irreducibles")
             if phi.coeff(0).is_zero():
                 raise ValueError("x cannot divide the char poly of a unit")
-            if fam in ("gl", "sl", "u") and signs:
+            if signs and fam not in ("sp", "so"):
                 raise ValueError("signs only decorate sp/so data")
-            if fam in ("sp", "so") and not _is_pm1(phi):
-                r = reciprocal(phi)
-                if r not in self.entries or self.entries[r][0] != lam:
-                    raise ValueError("reciprocal pairing violated")
-                if signs:
-                    raise ValueError("signs only decorate x -+ 1 parts")
-            if fam == "u":
-                r = skew_reciprocal(phi)
-                if r not in self.entries or self.entries[r][0] != lam:
-                    raise ValueError("skew-reciprocal pairing violated")
-            if fam in ("sp", "so") and _is_pm1(phi):
-                want_parity = 1 if fam == "sp" else 0
-                for i in lam.part_sizes():
-                    if i % 2 == want_parity and lam.m(i) % 2:
-                        raise ValueError(
-                            "parts of size %d need even multiplicity" % i)
-                    decorated = (i % 2 == 0) if fam == "sp" else (i % 2 == 1)
-                    if decorated != (i in signs):
-                        raise ValueError("sign decoration mismatch at %d" % i)
-                    if i in signs and signs[i] not in (1, -1):
-                        raise ValueError("signs are +-1")
+            if signs and not _is_pm1(phi):
+                raise ValueError("signs only decorate x -+ 1 parts")
+        for phi, partner in _orbits(fam, entries):
+            lam, signs = entries[phi]
+            if partner is not None and (partner not in entries
+                                        or entries[partner][0] != lam):
+                raise ValueError("%s pairing violated" % (
+                    "skew-reciprocal" if fam == "u" else "reciprocal"))
+            if fam not in ("sp", "so") or not _is_pm1(phi):
+                continue
+            for i in lam.part_sizes():
+                if not _decorated(fam, i) and lam.m(i) % 2:
+                    raise ValueError(
+                        "parts of size %d need even multiplicity" % i)
+                if _decorated(fam, i) != (i in signs):
+                    raise ValueError("sign decoration mismatch at %d" % i)
+                if i in signs and signs[i] not in (1, -1):
+                    raise ValueError("signs are +-1")
         if fam == "sp" and self.size % 2:
             raise ValueError("symplectic data have even size")
 
@@ -260,6 +259,32 @@ def _phi_key(item):
 def _is_pm1(phi):
     ctx = phi.ctx
     return phi == Poly(ctx, [-1, 1]) or phi == Poly(ctx, [1, 1])
+
+
+def _orbits(family, primes):
+    """The orbits of the pairing phi <-> phi* on the primes, one
+    (phi, partner) each in _phi_key order of phi; partner is None when
+    phi* = phi.  phi* is the reciprocal for sp and so, the skew reciprocal
+    for u; gl and sl pair nothing.  A partner need not be among primes."""
+    seen = set()
+    for phi in sorted(primes, key=_phi_key):
+        if phi in seen:
+            continue
+        partner = None
+        if family in ("sp", "so"):
+            partner = reciprocal(phi)
+        elif family == "u":
+            partner = skew_reciprocal(phi)
+        if partner == phi:
+            partner = None
+        seen.add(partner)
+        yield phi, partner
+
+
+def _decorated(family, i):
+    """Whether parts of size i at x -+ 1 carry a sign in an sp or so datum:
+    even i in sp, odd i in so.  The other sizes need even multiplicity."""
+    return i % 2 == (0 if family == "sp" else 1)
 
 
 def class_of_matrix_gl(M):
@@ -387,147 +412,76 @@ def _parts_from_ranks(n, d, e, ranks):
 # Fulman probabilities
 
 
-def _merge_pairs(datum, conj):
-    """Iterate entries once per reciprocal pair; yields
-    (phi, lam, signs, kind) with kind in ('pm1', 'self', 'pair')."""
-    seen = set()
-    for phi, (lam, signs) in sorted(datum.entries.items(), key=_phi_key):
-        if phi in seen:
-            continue
-        if _is_pm1(phi) and datum.family in ("sp", "so"):
-            seen.add(phi)
-            yield phi, lam, signs, "pm1"
-            continue
-        r = conj(phi)
-        if r == phi:
-            seen.add(phi)
-            yield phi, lam, signs, "self"
+def _fulman_prob(datum, family, q):
+    """Fulman's probability of the class of a gl, sp, so or u datum in its
+    group (O_n^eps with eps = so_epsilon(datum) for so), exact.
+
+    One factor per pairing orbit; d is deg phi, doubled for u (a degree-d
+    prime over F_{q^2} counts as degree 2d over F_q), e is
+    _fulman_exponent(lambda) and m runs over the multiplicities of lambda:
+    - a gl prime or a pair {phi, phi*}: q^{2de} prod |GL_m(q^d)|;
+    - a self-paired prime: q^{de} prod |U_m(q^{d/2})|;
+    - x -+ 1 in sp and so: q^{de} times |O^sign_m| for each decorated size
+      and |Sp_m| for each other size; each even size shifts e by +m/2 in
+      sp and -m/2 in so (so the identity of O^eps has probability
+      1/|O^eps| exactly).
+    The probability is one over the product of the factors.
+    """
+    if datum.family != family:
+        raise ValueError("%s datum required" % family)
+    ctx = datum.ctx
+    if family == "u":
+        if ctx.m % 2:
+            raise ValueError("unitary data need a quadratic-extension context")
+        if not q:
+            q = math.isqrt(ctx.q)
+            if q * q != ctx.q:
+                raise ValueError("not a perfect square")
+    q = q or ctx.q
+    q_exp, denom = Fraction(0), 1
+    for phi, partner in _orbits(family, datum.entries):
+        lam, signs = datum.entries[phi]
+        d = phi.degree * (2 if family == "u" else 1)
+        e = _fulman_exponent(lam)
+        if family in ("sp", "so") and _is_pm1(phi):
+            q_exp += d * e
+            for i in lam.part_sizes():
+                m = lam.m(i)
+                if i % 2 == 0:
+                    q_exp += Fraction(m if family == "sp" else -m, 2)
+                denom *= (order_o(m, signs[i], q) if _decorated(family, i)
+                          else order_sp(m, q))
+        elif partner is None and family != "gl":
+            q_exp += d * e
+            for i in lam.part_sizes():
+                denom *= order_u(lam.m(i), q ** (d // 2))
         else:
-            seen.add(phi)
-            seen.add(r)
-            yield phi, lam, signs, "pair"
+            q_exp += 2 * d * e
+            for i in lam.part_sizes():
+                denom *= order_gl(lam.m(i), q ** d)
+    if q_exp.denominator != 1:
+        raise RuntimeError("non-integral q-exponent; invalid datum")
+    return Fraction(1, q ** int(q_exp) * denom)
 
 
 def fulman_prob_gl(datum, q=None):
     """Probability of the class in GL_n(F_q), exact."""
-    if datum.family != "gl":
-        raise ValueError("gl datum required")
-    q = q or datum.ctx.q
-    denom = 1
-    for phi, (lam, _) in datum.entries.items():
-        Q = q ** phi.degree
-        dual = lam.dual()
-        denom *= Q ** sum(dp * dp for dp in dual.parts)
-        for i in lam.part_sizes():
-            mi = lam.m(i)
-            # (1/Q)_m = prod_{j=1..m} (1 - Q^{-j}), cleared of denominators
-            num = 1
-            for j in range(1, mi + 1):
-                num *= Q ** j - 1
-            denom = Fraction(denom) * Fraction(num, Q ** (mi * (mi + 1) // 2))
-    return 1 / Fraction(denom)
-
-
-def _finish_prob(q, q_exp, orders):
-    if q_exp.denominator != 1:
-        raise RuntimeError("non-integral q-exponent; invalid datum")
-    denom = q ** int(q_exp)
-    for t in orders:
-        denom *= t
-    return Fraction(1, denom)
+    return _fulman_prob(datum, "gl", q)
 
 
 def fulman_prob_sp(datum, q=None):
     """Probability of the class in Sp_{2n}(F_q), exact."""
-    if datum.family != "sp":
-        raise ValueError("sp datum required")
-    q = q or datum.ctx.q
-    q_exp = Fraction(0)
-    orders = []
-    for phi, lam, signs, kind in _merge_pairs(datum, reciprocal):
-        d = phi.degree
-        e = _fulman_exponent(lam)
-        if kind == "pm1":
-            q_exp += d * e
-            for i in lam.part_sizes():
-                mi = lam.m(i)
-                if i % 2 == 1:
-                    orders.append(order_sp(mi, q))
-                else:
-                    q_exp += Fraction(mi, 2)
-                    orders.append(order_o(mi, signs[i], q))
-        elif kind == "self":
-            q_exp += d * e
-            for i in lam.part_sizes():
-                orders.append(order_u(lam.m(i), q ** (d // 2)))
-        else:  # pair: both factors carry the exponent; |GL|^(1/2) each
-            q_exp += 2 * d * e
-            for i in lam.part_sizes():
-                orders.append(order_gl(lam.m(i), q ** d))
-    return _finish_prob(q, q_exp, orders)
+    return _fulman_prob(datum, "sp", q)
 
 
 def fulman_prob_so(datum, q=None):
-    """Probability of the class in O_n^eps(F_q) (eps = so_epsilon(datum)).
-
-    For phi = x -+ 1 the factor is |O^mu| on odd part sizes and
-    q^{-m/2}|Sp_m| on even ones (matching the sign convention: signs sit on
-    odd sizes, even sizes have even multiplicity and carry the symplectic
-    factor; the identity class then gets probability 1/|O^eps| exactly).
-    """
-    if datum.family != "so":
-        raise ValueError("so datum required")
-    q = q or datum.ctx.q
-    q_exp = Fraction(0)
-    orders = []
-    for phi, lam, signs, kind in _merge_pairs(datum, reciprocal):
-        d = phi.degree
-        e = _fulman_exponent(lam)
-        if kind == "pm1":
-            q_exp += d * e
-            for i in lam.part_sizes():
-                mi = lam.m(i)
-                if i % 2 == 1:
-                    orders.append(order_o(mi, signs[i], q))
-                else:
-                    q_exp -= Fraction(mi, 2)
-                    orders.append(order_sp(mi, q))
-        elif kind == "self":
-            q_exp += d * e
-            for i in lam.part_sizes():
-                orders.append(order_u(lam.m(i), q ** (d // 2)))
-        else:
-            q_exp += 2 * d * e
-            for i in lam.part_sizes():
-                orders.append(order_gl(lam.m(i), q ** d))
-    return _finish_prob(q, q_exp, orders)
+    """Probability of the class in O_n^eps(F_q) (eps = so_epsilon(datum))."""
+    return _fulman_prob(datum, "so", q)
 
 
 def fulman_prob_u(datum, q=None):
     """Probability of the class in U_n(F_q); coefficients live in F_{q^2}."""
-    if datum.family != "u":
-        raise ValueError("u datum required")
-    ctx = datum.ctx
-    if ctx.m % 2:
-        raise ValueError("unitary data need a quadratic-extension context")
-    if not q:
-        q = math.isqrt(ctx.q)
-        if q * q != ctx.q:
-            raise ValueError("not a perfect square")
-    q_exp = Fraction(0)
-    orders = []
-    for phi, lam, signs, kind in _merge_pairs(datum, skew_reciprocal):
-        d = phi.degree
-        e = _fulman_exponent(lam)
-        if kind == "self":
-            q_exp += 2 * d * e
-            for i in lam.part_sizes():
-                orders.append(order_u(lam.m(i), q ** d))
-        else:
-            q_exp += 4 * d * e
-            for i in lam.part_sizes():
-                orders.append(order_gl(lam.m(i), q ** (2 * d)))
-    return _finish_prob(q, q_exp, orders)
+    return _fulman_prob(datum, "u", q)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +509,16 @@ def so_epsilon(datum):
         raise ValueError("so datum required")
     q = datum.ctx.q
     total = WittClass(q, 0, 0)
-    for phi, lam, signs, kind in _merge_pairs(datum, reciprocal):
-        if kind == "pm1":
-            for i in lam.part_sizes():
-                if i % 2 == 1:
-                    total = total + _standard_form_witt(q, lam.m(i), signs[i])
-                # even sizes contribute hyperbolically
-        elif kind == "self":
-            # one anisotropic plane per odd i m(i), whatever deg phi is
-            for i in lam.part_sizes():
-                if i * lam.m(i) % 2:
-                    total = total + _minus_plane_witt(q)
-        # pairs are hyperbolic
+    for phi, partner in _orbits("so", datum.entries):
+        lam, signs = datum.entries[phi]
+        for i in lam.part_sizes():
+            if i in signs:  # the decorated (odd) sizes at x -+ 1
+                total = total + _standard_form_witt(q, lam.m(i), signs[i])
+            elif partner is None and i * lam.m(i) % 2:
+                # another self-reciprocal phi: one anisotropic plane per
+                # odd i m(i), whatever deg phi is
+                total = total + _minus_plane_witt(q)
+        # even sizes at x -+ 1 and pairs are hyperbolic
     n = datum.size
     for sign in (1, -1):
         if _standard_form_witt(q, n, sign) == total:
@@ -611,48 +563,22 @@ def _smallest_prime_factor(n):
 
 def _signed_partitions(n, family):
     """(Partition, signs) pairs valid for lambda_{x -+ 1} in sp/so."""
-    want_parity = 1 if family == "sp" else 0
     for lam in partitions_of(n):
-        ok = all(lam.m(i) % 2 == 0 for i in lam.part_sizes()
-                 if i % 2 == want_parity)
-        if not ok:
+        sizes = lam.part_sizes()
+        if any(lam.m(i) % 2 for i in sizes if not _decorated(family, i)):
             continue
-        decorated = [i for i in lam.part_sizes() if i % 2 != want_parity]
+        decorated = [i for i in sizes if _decorated(family, i)]
         for chosen in itertools.product((1, -1), repeat=len(decorated)):
             yield lam, dict(zip(decorated, chosen))
 
 
 def enumerate_data(family, ctx, n):
     """All valid class data of the given total size, as a generator."""
-    if family == "u":
-        conj = skew_reciprocal
-    else:
-        conj = reciprocal
-    primes = [phi for phi in
-              (irreducible_polys(ctx, d) for d in range(1, n + 1))
-              for phi in phi]
-    primes = [phi for phi in primes if not phi.coeff(0).is_zero()]
-    primes.sort(key=_phi_key)
-    # group into orbit representatives under the pairing
-    slots = []
-    seen = set()
-    for phi in primes:
-        if phi in seen:
-            continue
-        if family in ("gl", "sl"):
-            slots.append((phi, None, phi.degree))
-            seen.add(phi)
-            continue
-        r = conj(phi)
-        if r == phi:
-            slots.append((phi, None, phi.degree))
-            seen.add(phi)
-        else:
-            if r in seen:
-                continue
-            slots.append((phi, r, 2 * phi.degree))
-            seen.add(phi)
-            seen.add(r)
+    primes = [phi for d in range(1, n + 1) for phi in irreducible_polys(ctx, d)
+              if not phi.coeff(0).is_zero()]
+    # a pair {phi, phi*} weighs 2 deg phi per unit of |lambda|
+    slots = [(phi, partner, phi.degree * (1 if partner is None else 2))
+             for phi, partner in _orbits(family, primes)]
 
     def rec(idx, remaining):
         if remaining == 0:
@@ -660,12 +586,12 @@ def enumerate_data(family, ctx, n):
             return
         if idx == len(slots):
             return
-        phi, rphi, unit = slots[idx]
+        phi, partner, unit = slots[idx]
         for rest in rec(idx + 1, remaining):
             yield rest
         max_w = remaining // unit
         for w in range(1, max_w + 1):
-            choices = _slot_choices(family, phi, rphi, w)
+            choices = _slot_choices(family, phi, partner, w)
             for entry in choices:
                 for rest in rec(idx + 1, remaining - w * unit):
                     d = dict(rest)
@@ -681,23 +607,29 @@ def enumerate_data(family, ctx, n):
             continue
 
 
-def _slot_choices(family, phi, rphi, w):
+def _slot_choices(family, phi, partner, w):
     """Entry dicts putting total weight w (per orbit unit) on this slot."""
     if family in ("sp", "so") and _is_pm1(phi):
         return [{phi: (lam, signs)}
                 for lam, signs in _signed_partitions(w, family)]
-    if rphi is None:
+    if partner is None:
         return [{phi: (lam, {})} for lam in partitions_of(w)]
-    return [{phi: (lam, {}), rphi: (lam, {})} for lam in partitions_of(w)]
+    return [{phi: (lam, {}), partner: (lam, {})} for lam in partitions_of(w)]
 
 
 def family_prob(datum, q=None):
-    return {
-        "gl": fulman_prob_gl,
-        "sp": fulman_prob_sp,
-        "so": fulman_prob_so,
-        "u": fulman_prob_u,
-    }[datum.family](datum, q)
+    """Probability of the class in its family's group, exact."""
+    return _fulman_prob(datum, _law_family(datum.family), q)
+
+
+def _law_family(family):
+    """family if Fulman's product covers it, else a ValueError: an sl datum
+    is a GL class of determinant 1, which may split into several SL
+    classes, so it fixes no SL class probability."""
+    if family not in ("gl", "sp", "so", "u"):
+        raise ValueError("no class law for family %s: Fulman's product "
+                         "covers gl, sp, so and u" % family)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -720,31 +652,18 @@ def charpoly_prob_gl(f):
 
 def min_poly_joint(n, family, q, h):
     """Map deg min -> Pr[deg min = that AND char = h], exact."""
+    _law_family(family)
     ctx = h.ctx
     if h.degree != n:
         raise ValueError("deg h must equal n")
     fac = dict(factor(h))
-    conj = skew_reciprocal if family == "u" else reciprocal
-    # partition choices per pairing orbit
-    slots = []
-    seen = set()
-    for phi in sorted(fac, key=_phi_key):
-        if phi in seen:
-            continue
-        if family in ("gl", "sl") or _is_pm1(phi) or conj(phi) == phi:
-            slots.append((phi, None, fac[phi]))
-            seen.add(phi)
-        else:
-            r = conj(phi)
-            if fac.get(r) != fac[phi]:
-                raise ValueError("char poly invalid for the family")
-            slots.append((phi, r, fac[phi]))
-            seen.add(phi)
-            seen.add(r)
-
+    choices = []  # partition choices per pairing orbit
+    for phi, partner in _orbits(family, fac):
+        if partner is not None and fac.get(partner) != fac[phi]:
+            raise ValueError("char poly invalid for the family")
+        choices.append(_slot_choices(family, phi, partner, fac[phi]))
     out = {}
-    for combo in itertools.product(*[
-            _slot_choices(family, phi, rphi, e) for phi, rphi, e in slots]):
+    for combo in itertools.product(*choices):
         entries = {}
         for entry in combo:
             entries.update(entry)

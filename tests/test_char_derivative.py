@@ -407,7 +407,7 @@ def test_closed_form_Y_is_adjugate_of_inverse_jordan():
         J = jordan_block(ctx, e, a)
         gen = generic_adjugate_pm(J.inverse())
         Y = closed_form_Y(ctx, e, a)
-        assert all(p == q for rp, rq in zip(Y, gen) for p, q in zip(rp, rq))
+        assert Y == gen
 
 
 @pytest.mark.parametrize("family,ctx,blk", [
@@ -425,7 +425,7 @@ def test_closed_form_adjugate_matches_generic(family, ctx, blk):
     M, _ = build_representative(RepresentativeRecipe(family, [blk]), ctx)
     cf = closed_form_adjugate(family, blk, ctx)
     gen = generic_adjugate_pm(M)
-    assert all(p == q for rp, rq in zip(cf, gen) for p, q in zip(rp, rq))
+    assert cf == gen
 
 
 def test_representative_images_match_prediction():

@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 from padicmat import cli, matrix_groups
+from padicmat.conjugacy import (
+    ConjClassDatum,
+    Partition,
+    family_prob,
+    fulman_prob_u,
+    min_poly_joint,
+)
 from padicmat.galois_rings import NonUnitError, RingContext, decode_elem
 from padicmat.matrix_groups import (
     GroupSpec,
@@ -16,6 +23,7 @@ from padicmat.matrix_groups import (
     inverse_batch,
     sample_fq,
 )
+from padicmat.polynomials import Poly
 
 Z9 = RingContext(3, 1, 2)
 
@@ -119,3 +127,30 @@ def test_hensel_section_checks_its_input():
     spec = GroupSpec("sp", 4, Z9)
     with pytest.raises(MembershipError):
         hensel_lift_section(Matrix.zero(RingContext(3, 1, 1), 4), spec, 2)
+
+
+def test_no_class_law_for_sl():
+    # an sl datum is a GL class of det 1, which may split in SL
+    F3 = RingContext(3, 1, 1)
+    x_minus_1 = Poly(F3, [-1, 1])
+    datum = ConjClassDatum("sl", F3, {x_minus_1: Partition([1, 1])})
+    with pytest.raises(ValueError, match="family sl"):
+        family_prob(datum)
+    with pytest.raises(ValueError, match="family sl"):
+        min_poly_joint(2, "sl", 3, x_minus_1 ** 2)
+    with pytest.raises(ValueError, match="family xx"):
+        min_poly_joint(2, "xx", 3, x_minus_1 ** 2)
+
+
+def test_class_laws_check_the_family_first():
+    F3 = RingContext(3, 1, 1)
+    datum = ConjClassDatum("gl", F3, {Poly(F3, [-1, 1]): Partition([1])})
+    with pytest.raises(ValueError, match="u datum required"):
+        fulman_prob_u(datum)  # before it finds F_3 is no F_{q^2}
+
+
+def test_min_poly_joint_refuses_an_unpaired_char_poly():
+    F5 = RingContext(5, 1, 1)
+    x_minus_2 = Poly(F5, [-2, 1])  # its reciprocal is x - 3
+    with pytest.raises(ValueError, match="char poly invalid"):
+        min_poly_joint(2, "sp", 5, x_minus_2 ** 2)
