@@ -30,6 +30,7 @@ from .polynomials import (
     Poly,
     factor,
     irreducible_polys,
+    is_irreducible,
     reciprocal,
     skew_reciprocal,
 )
@@ -192,7 +193,7 @@ class ConjClassDatum:
     def _validate(self):
         fam, entries = self.family, self.entries
         for phi, (_, signs) in entries.items():
-            if not phi.is_monic() or phi.degree < 1:
+            if not phi.is_monic() or not is_irreducible(phi):
                 raise ValueError("keys must be monic irreducibles")
             if phi.coeff(0).is_zero():
                 raise ValueError("x cannot divide the char poly of a unit")

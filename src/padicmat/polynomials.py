@@ -197,6 +197,8 @@ def x_poly(ctx):
 
 
 def monomial(ctx, t, c=1):
+    if t < 0:
+        raise ValueError("monomial degree t must be nonnegative, not %d" % t)
     return Poly(ctx, [0] * t + [c])
 
 
@@ -375,40 +377,15 @@ def from_palindromic(f, n):
 # Hayes (coefficient-window + residue) equivalence
 
 
-class HayesLabel:
-    """Equivalence-class label: l next-to-leading coefficients plus f mod H.
-
-    Two monics are equivalent iff their labels are equal; the j-th
-    next-to-leading coefficient of f is the coefficient of x^{deg f - j},
-    taken as 0 when deg f < j.
-    """
-
-    __slots__ = ("l", "H", "window", "residue")
-
-    def __init__(self, l, H, window, residue):
-        self.l = l
-        self.H = H
-        self.window = tuple(window)
-        self.residue = residue
-
-    def __eq__(self, other):
-        return (isinstance(other, HayesLabel)
-                and (self.l, self.H, self.window, self.residue)
-                == (other.l, other.H, other.window, other.residue))
-
-    def __hash__(self):
-        return hash((self.l, self.H, self.window, self.residue))
-
-    def __repr__(self):
-        return "HayesLabel(l=%d, H=%r, window=%r, residue=%r)" % (
-            self.l, self.H, self.window, self.residue)
-
-
 def hayes_label(f, l, H):
+    """The Hayes class of monic f as kernel coefficient tuples (window,
+    residue): window[j - 1] is the coefficient of x^{deg f - j}, 0 when
+    deg f < j, for j = 1..l, and residue is f mod H (empty if deg H < 1)."""
     if not f.is_monic():
         raise ValueError("label defined for monic polynomials")
-    window = [f.coeff(f.degree - j) for j in range(1, l + 1)]
-    return HayesLabel(l, H, window, f % H if H.degree >= 1 else Poly(f.ctx, []))
+    window = (f._ints[-2::-1] + (f.ctx._c0,) * l)[:l]
+    residue = _pdivmod(f.ctx, f._ints, H._ints)[1] if H.degree >= 1 else ()
+    return window, tuple(residue)
 
 
 def _euler_phi_poly(H):
@@ -426,124 +403,99 @@ def _euler_phi_poly(H):
 class HayesClassGroup:
     """The group of Hayes classes of monics coprime to H, for a field context.
 
-    Classes are represented by their canonical representative: the monic of
-    degree l + deg H with the prescribed window and residue.
+    A class is an integer id: its index in the list of labels, which runs
+    over the windows and then the residues coprime to H.  Two labels
+    multiply directly, so the group never builds a representative: the
+    windows w, v multiply as (1 + w_1 t + ... + w_l t^l)(1 + v_1 t + ...)
+    mod t^{l+1}, with t = 1/x, and the residues multiply mod H.
     """
 
     def __init__(self, ctx, l, H, bound=10 ** 4):
         if ctx.k != 1:
             raise ValueError("Hayes class group only over field contexts")
+        if l < 0:
+            raise ValueError("window length l must be nonnegative, not %d" % l)
         if not H.is_monic() and H.degree != 0:
             raise ValueError("H must be monic or a nonzero constant")
-        self.ctx = ctx
-        self.l = l
-        self.H = H
+        self.ctx, self.l, self.H = ctx, l, H
         self.order = ctx.q ** l * _euler_phi_poly(H)
         if self.order > bound:
             raise EnumerationBound("unit group too large: %d" % self.order)
-        self._reps = {}
-        residues = [_poly(ctx, _ptrim(ctx, list(r))) for r in
-                    itertools.product(_coeff_values(ctx), repeat=H.degree)]
-        for window in itertools.product(list(ctx.elements()), repeat=l):
-            for r in residues:
-                if r.gcd(H).degree != 0:    # r is not a unit mod H
-                    continue
-                rep = self._canonical(window, r)
-                self._reps[hayes_label(rep, l, H)] = rep
-        if len(self._reps) != self.order:
+        coeffs = _coeff_values(ctx)
+        residues = [tuple(_ptrim(ctx, list(r)))
+                    for r in itertools.product(coeffs, repeat=H.degree)]
+        residues = [r for r in residues if len(_pgcd(ctx, r, H._ints)) == 1]
+        self._labels = [(w, r) for w in itertools.product(coeffs, repeat=l)
+                        for r in residues]
+        if len(self._labels) != self.order:
             raise RuntimeError("%d class representatives, expected %d"
-                               % (len(self._reps), self.order))
-        self._basis = None
-
-    def _canonical(self, window, residue):
-        ctx, l, H = self.ctx, self.l, self.H
-        f = Poly(ctx, [0] * H.degree + list(window[::-1]) + [1])
-        return f + (residue - f % H) % H
+                               % (len(self._labels), self.order))
+        self._ids = {lab: i for i, lab in enumerate(self._labels)}
 
     def label(self, f):
         return hayes_label(f, self.l, self.H)
 
-    def contains(self, f):
-        """Monic f coprime to H (always true when deg H = 0)."""
-        return f.is_monic() and f.gcd(self.H).degree == 0
-
-    def rep(self, f):
-        return self._reps[self.label(f)]
-
-    def mul(self, f, g):
-        return self.rep(self.rep(f) * self.rep(g))
-
-    def identity(self):
-        return self._canonical((self.ctx.zero(),) * self.l,
-                               Poly(self.ctx, [1]) % self.H)
-
     def elements(self):
-        return list(self._reps.values())
+        """The canonical representatives in id order: the monics of degree
+        l + deg H with each class's window and residue."""
+        ctx, H = self.ctx, self.H._ints
+        reps = []
+        for window, residue in self._labels:
+            # top is 0 below x^{deg H}; adding residue - top mod H sets f mod H
+            top = (ctx._c0,) * (len(H) - 1) + window[::-1] + (ctx._c1,)
+            low = _padd(ctx, residue, _pdivmod(ctx, top, H)[1], -1)
+            reps.append(_poly(ctx, _padd(ctx, top, low)))
+        return reps
 
-    # -- abelian structure discovery --
+    def _mul(self, a, b):
+        """The id of the product of the classes with ids a and b."""
+        ctx, l = self.ctx, self.l
+        (w, r), (v, s) = self._labels[a], self._labels[b]
+        wv = _pmul(ctx, (ctx._c1,) + w, (ctx._c1,) + v)[1:l + 1]
+        rs = _pdivmod(ctx, _pmul(ctx, r, s), self.H._ints)[1]
+        return self._ids[(tuple(wv) + (ctx._c0,) * (l - len(wv)), tuple(rs))]
 
-    def basis(self):
-        """Independent generators (g_i, n_i) with G = prod <g_i>, n_i orders."""
-        if self._basis is not None:
-            return self._basis
-        ident = self.identity()
-        lab = self.label
+    @functools.cached_property
+    def _structure(self):
+        """(orders, log): G = prod Z/n_i over the orders n_i, and log[i] is
+        the exponent tuple of the class with id i.
 
-        def order_mod(g, subgroup):
-            acc = g
-            t = 1
-            while lab(acc) not in subgroup:
-                acc = self.mul(acc, g)
-                t += 1
-            return t, acc
+        Greedy: the next generator is an element g of largest order t
+        modulo the subgroup S found so far.  Then g^t lies in S with
+        exponents divisible by t, and dividing g by their t-th root gives
+        a generator of order exactly t, independent of S.
+        """
+        ident = self._ids[self.label(_poly(self.ctx, [self.ctx._c1]))]
+        # powers[g] = [g, g^2, ..., g^{ord g} = identity]
+        powers = []
+        for g in range(self.order):
+            chain = [g]
+            while chain[-1] != ident:
+                chain.append(self._mul(chain[-1], g))
+            powers.append(chain)
+        gens, orders, log = [], [], {ident: ()}
 
-        basis = []
-        # subgroup: label -> exponent tuple over current basis
-        subgroup = {lab(ident): ()}
-        elements = self.elements()
-        while len(subgroup) < self.order:
-            best, best_t = None, 0
-            for g in elements:
-                t, _ = order_mod(g, subgroup)
-                if t > best_t:
-                    best, best_t = g, t
-            g, t = best, best_t
-            # adjust the representative so its true order equals its order
-            # in the quotient: g^t lands in the subgroup; write g^t as a
-            # product of basis powers and divide out a t-th root of it
-            _, gt = order_mod(g, subgroup)
-            exps = subgroup[lab(gt)]
-            adj = g
-            for (h, n_h), e in zip(basis, exps):
-                if e % t != 0:
+        def order_mod(g):
+            return next(t for t, h in enumerate(powers[g], 1) if h in log)
+
+        while len(log) < self.order:
+            adj = g = max(range(self.order), key=order_mod)
+            t = order_mod(g)
+            for h, n_h, e in zip(gens, orders, log[powers[g][t - 1]]):
+                if e % t:
                     raise RuntimeError("basis adjustment failed")
-                corr = pow_group(self, h, (-(e // t)) % n_h)
-                adj = self.mul(adj, corr)
-            basis.append((adj, t))
+                k = (-(e // t)) % n_h
+                if k:
+                    adj = self._mul(adj, powers[h][k - 1])
+            gens.append(adj)
+            orders.append(t)
             new = {}
-            for labk, exps0 in subgroup.items():
-                acc = self._reps[labk]
+            for s, exps in log.items():
                 for e in range(t):
-                    new[lab(acc)] = exps0 + (e,)
-                    acc = self.mul(acc, adj)
-            subgroup = new
-        self._basis = (basis, subgroup)
-        return self._basis
-
-    def discrete_log(self, f):
-        basis, table = self.basis()
-        return table[self.label(f)]
-
-
-def pow_group(group, g, e):
-    acc = group.identity()
-    base = g
-    while e:
-        if e & 1:
-            acc = group.mul(acc, base)
-        base = group.mul(base, base)
-        e >>= 1
-    return acc
+                    new[s] = exps + (e,)
+                    s = self._mul(s, adj)
+            log = new
+        return orders, [log[i] for i in range(self.order)]
 
 
 class HayesCharacter:
@@ -555,29 +507,19 @@ class HayesCharacter:
 
     def __init__(self, group, exps):
         self.group = group
-        basis, _ = group.basis()
-        self.modulus = math.lcm(*(n for _, n in basis))
-        self.exps = tuple(exps)  # exponent of value on basis[i], times E/n_i
+        self._orders, self._log = group._structure
+        self.modulus = math.lcm(*self._orders)
+        self.exps = tuple(exps)  # value exp(2 pi i c_i/n_i) on generator i
 
     def exponent(self, f):
-        if not self.group.contains(f):
+        if not f.is_monic() or f.gcd(self.group.H).degree != 0:
             return None
-        dl = self.group.discrete_log(f)
-        basis, _ = self.group.basis()
-        E = self.modulus
-        tot = 0
-        for (g, n), c, e in zip(basis, self.exps, dl):
-            tot += (E // n) * c * e
-        return tot % E
+        E, log = self.modulus, self._log[self.group._ids[self.group.label(f)]]
+        return sum((E // n) * c * e
+                   for n, c, e in zip(self._orders, self.exps, log)) % E
 
     def is_trivial(self):
-        basis, _ = self.group.basis()
-        return all(c % n == 0 for (g, n), c in zip(basis, self.exps))
-
-    def conjugate(self):
-        basis, _ = self.group.basis()
-        return HayesCharacter(self.group,
-                              [(-c) % n for (g, n), c in zip(basis, self.exps)])
+        return all(c % n == 0 for n, c in zip(self._orders, self.exps))
 
     def __repr__(self):
         return "HayesCharacter(exps=%r, modulus=%d)" % (self.exps, self.modulus)
@@ -586,11 +528,8 @@ class HayesCharacter:
 def hayes_characters(ctx, l, H, bound=10 ** 4):
     """The full dual group of the Hayes class group (size q^l phi(H))."""
     group = HayesClassGroup(ctx, l, H, bound=bound)
-    basis, _ = group.basis()
-    chars = []
-    for exps in itertools.product(*[range(n) for _, n in basis]):
-        chars.append(HayesCharacter(group, exps))
-    return chars
+    return [HayesCharacter(group, exps)
+            for exps in itertools.product(*map(range, group._structure[0]))]
 
 
 # -- exact root-of-unity sums --

@@ -65,6 +65,17 @@ def test_image_check_refuses_levels_above_1(capsys):
     assert out == "" and "residue level" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["hayes", "--p", "3", "--l", "-1"], "window length l"),
+    (["hayes", "--p", "3", "--l", "1", "--h-deg", "-2"], "degree t"),
+])
+def test_hayes_refuses_negative_degrees(argv, named, capsys):
+    # a negative degree is refused by the name of its argument
+    assert cli.dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err and "nonnegative" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["tv", "--d", "1"] + MC_FLAGS,
     ["sample"] + MC_FLAGS,

@@ -14,7 +14,8 @@ the single-system `_rref`.  The scan uses the standard library's `ast`, as
 test_no_asserts.py does.  Polynomials follow the same rule one level
 down: `factor` and `radical` run on the int polynomial kernel in
 `galois_rings`, never on scalar GRElem arithmetic, and that kernel has no
-twin there.
+twin there.  The Hayes class group multiplies its labels on the same
+kernel, with no Poly or GRElem operator.
 """
 
 import ast
@@ -103,6 +104,35 @@ def test_factor_and_radical_make_no_scalar_arithmetic(monkeypatch):
             for f in polynomials.monic_polys(ctx, n):
                 polynomials.factor(f)
                 polynomials.radical(f)
+
+
+def test_hayes_group_makes_no_scalar_or_poly_arithmetic(monkeypatch):
+    # the class group multiplies labels on the kernel; a Poly or GRElem
+    # operator inside it would bring back a Poly product per group product
+    def refuse(*args):
+        raise AssertionError("scalar or Poly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__"):
+        monkeypatch.setattr(GRElem, name, refuse)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__mod__", "__divmod__", "__floordiv__",
+                 "__pow__", "__neg__"):
+        monkeypatch.setattr(polynomials.Poly, name, refuse)
+    x = polynomials.x_poly(RingContext(3, 1, 1))
+    with pytest.raises(AssertionError):
+        x * x
+    for ctx, l, h_deg, top in ((RingContext(3, 1, 1), 2, 2, 4),
+                               (RingContext(3, 2, 1), 1, 1, 2)):
+        H = polynomials.monomial(ctx, h_deg)
+        group = polynomials.HayesClassGroup(ctx, l, H)
+        assert len(group.elements()) == group.order
+        chars = polynomials.hayes_characters(ctx, l, H)
+        assert len(chars) == group.order
+        for n in range(top + 1):
+            for f in polynomials.monic_polys(ctx, n):
+                for chi in chars[:5]:
+                    chi.exponent(f)
 
 
 def test_galois_rings_has_no_second_polynomial_kernel():

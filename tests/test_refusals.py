@@ -154,3 +154,12 @@ def test_min_poly_joint_refuses_an_unpaired_char_poly():
     x_minus_2 = Poly(F5, [-2, 1])  # its reciprocal is x - 3
     with pytest.raises(ValueError, match="char poly invalid"):
         min_poly_joint(2, "sp", 5, x_minus_2 ** 2)
+
+
+def test_class_datum_refuses_a_reducible_key():
+    # (x - 1)^2 is monic of degree 2 but no prime: it would score as one
+    F3 = RingContext(3, 1, 1)
+    x_minus_1 = Poly(F3, [-1, 1])
+    for key in (x_minus_1 ** 2, Poly(F3, [1])):
+        with pytest.raises(ValueError, match="keys must be monic irreducibles"):
+            ConjClassDatum("gl", F3, {key: Partition((1,))})
