@@ -6,6 +6,7 @@ from . import (  # noqa: F401
     galois_rings,
     polynomials,
     matrix_groups,
+    streams,
     char_derivative,
     conjugacy,
     experiments,

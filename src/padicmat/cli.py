@@ -18,7 +18,7 @@ from .char_derivative import verify_image
 from .experiments import (
     ExperimentConfig,
     SCHEMA_VERSION,
-    _shard_rng,
+    _shard_samples,
     run_fulman_consistency,
     run_onestep_check,
     run_single_trace,
@@ -29,7 +29,6 @@ from .matrix_groups import (
     Matrix,
     encode_batch,
     enumerate_group,
-    sample_haar_batch,
 )
 from .polynomials import hayes_characters, monomial
 
@@ -182,8 +181,8 @@ def dispatch(argv):
         if args.cmd == "sample":
             cfg = _experiment_config(args)
             spec = cfg.group_spec()
-            rng = _shard_rng(cfg.seed, 0)
-            rows = encode_batch(sample_haar_batch(spec, rng, cfg.samples))
+            rows = encode_batch(_shard_samples(spec, cfg.seed,
+                                               [(0, cfg.samples)]))
             report = {"schema_version": SCHEMA_VERSION,
                       "config": cfg.to_dict(), "samples": rows,
                       "pass": True}
@@ -217,9 +216,8 @@ def dispatch(argv):
                 raise ValueError("the image check runs at the residue "
                                  "level: use --k 1")
             spec = cfg.group_spec()
-            rng = _shard_rng(cfg.seed, 0)
             fails = []
-            for a in sample_haar_batch(spec, rng, cfg.samples):
+            for a in _shard_samples(spec, cfg.seed, [(0, cfg.samples)]):
                 ok, rep = verify_image(Matrix(spec.ctx, a), spec)
                 if not ok:
                     fails.append(rep)

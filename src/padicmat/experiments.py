@@ -1,11 +1,15 @@
 """Statistical harness: equidistribution, congruence, and consistency checks.
 
-Monte-Carlo runs are sharded into independent RNG streams derived from the
-master seed.  The shards are grouped into whole-shard groups, and one task
-(_group_task) draws, lifts and reduces a group to its cell counts (or
-congruence counts).  With workers > 1 and more than one group the tasks run
-on a process pool, built once per process and reused; the results are
-merged in group order, so every report is identical at every worker count.
+Monte-Carlo runs are sharded into independent streams derived from the
+master seed: each shard draws on its own numpy Generator (_shard_rng).  The
+shards are grouped into whole-shard groups, and one task (_group_task)
+draws the group's residues in one batched pass over its shards' streams
+(draw_haar_streams), lifts them at once, and reduces them to cell counts
+(or congruence counts).  A shard's samples depend only on the seed, its
+index and its size, never on the group it lands in.  With workers > 1 and
+more than one group the tasks run on a process pool, built once per
+process and reused; the results are merged in group order, so every
+report is identical at every worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import functools
 import hashlib
 import json
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -26,14 +29,12 @@ from .matrix_groups import (
     GroupSpec,
     Matrix,
     char_poly_batch,
-    draw_haar_batch,
     enumerate_blocks,
     enumerate_group,
     inverse_batch,
     lie_combinations,
     lift_haar_batch,
     min_poly_mod_p,
-    sample_haar_batch,
     _GROUP_ENTRIES,
     _fiber_table,
     _lie_data,
@@ -44,8 +45,9 @@ from .polynomials import (
     datum_value_count,
     trace_data_batch,
 )
+from .streams import draw_haar_streams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 N_SHARDS = 16
 
 
@@ -158,8 +160,28 @@ def expected_tv_noise(cell_count, n_samples):
 
 
 def _shard_rng(seed, shard):
+    """The numpy Generator of one shard: PCG64 seeded by the int of the
+    sha256 of "seed:shard", so every int seed, negative ones included,
+    gives distinct streams."""
     digest = hashlib.sha256(("%s:%d" % (seed, shard)).encode()).hexdigest()
-    return random.Random(int(digest, 16))
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(int(digest, 16))))
+
+
+def _shard_samples(spec, seed, shards):
+    """The Haar samples of the shards [(shard, count), ...] of a seed, in
+    shard order: one batched draw over their streams (draw_haar_streams),
+    lifted (lift_haar_batch) in passes of at most _GROUP_ENTRIES entries,
+    so that one large stream (sample, image-check) holds no larger lift
+    temporaries than a group of shards."""
+    a, idx = draw_haar_streams(
+        spec, [(_shard_rng(seed, shard), count) for shard, count in shards])
+    step = max(1, _GROUP_ENTRIES // (spec.size ** 2 * spec.ctx.m))
+    if len(a) <= step:
+        return lift_haar_batch(spec, a, idx)
+    return np.concatenate([lift_haar_batch(spec, a[i:i + step],
+                                           idx[i:i + step])
+                           for i in range(0, len(a), step)])
 
 
 def _shard_sizes(total, shards):
@@ -189,17 +211,9 @@ def _shard_groups(cfg):
 
 
 def _group_samples(cfg, group):
-    """The Haar samples of one group of whole shards.
-
-    Each shard is drawn on its own _shard_rng (draw_haar_batch); the draws
-    of the group are lifted at once (lift_haar_batch), so the samples are
-    the shards' sample_haar_batch arrays, concatenated in shard order.
-    """
-    spec = cfg.group_spec()
-    residues, idx = zip(*(draw_haar_batch(spec, _shard_rng(cfg.seed, shard),
-                                          count) for shard, count in group))
-    return lift_haar_batch(spec, np.concatenate(residues),
-                           np.concatenate(idx))
+    """The Haar samples of one group of whole shards (_shard_samples): the
+    samples of each shard drawn alone, concatenated in shard order."""
+    return _shard_samples(cfg.group_spec(), cfg.seed, group)
 
 
 def _group_task(cfg_dict, extract, args, group):
@@ -466,9 +480,8 @@ def run_onestep_check(cfg, matrices=None):
         if cfg.mode == "exact":
             matrices = enumerate_group(spec1)
         else:
-            rng = _shard_rng(cfg.seed, 0)
             matrices = [Matrix(ctx1, a) for a in
-                        sample_haar_batch(spec1, rng, cfg.samples)]
+                        _shard_samples(spec1, cfg.seed, [(0, cfg.samples)])]
 
     results = []
     all_pass = True

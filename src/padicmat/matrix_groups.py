@@ -643,6 +643,19 @@ def _field_tables(ctx):
     return tab
 
 
+_FIELD_ARR_CACHE = {}
+
+
+def _field_arrays(ctx):
+    """_field_tables(ctx) with every table a numpy array, for the batched
+    eliminations (_rank_batch, _draw_isometries).  Cached per context."""
+    arr = _FIELD_ARR_CACHE.get(ctx)
+    if arr is None:
+        arr = _FieldTables(*map(np.asarray, _field_tables(ctx)))
+        _FIELD_ARR_CACHE[ctx] = arr
+    return arr
+
+
 def _field_coeffs(ctx):
     """The (q, m) coefficient vectors of the residue field ctx in
     ctx.elements() order: coefficient t of element i is digit t of i in
@@ -959,15 +972,11 @@ def draw_haar_batch(spec, rng, count):
     order, of the levels left to the lift: a (count, k - 1, dim) array.  Per
     sample the draws are its residue sample's, then its (k - 1) * dim fiber
     indices, each rng.randrange(len(pool)) (one _randbelow_bulk call); for
-    m = 1 the pool is F_p in order, so the draws are randrange(p).  gl over
-    m = 1 reads the same stream in blocks and lifts each block as it is
-    drawn (_sample_gl_blocks): its a is the samples, and its idx leaves no
-    level, with shape (count, 0, n^2).
+    m = 1 the pool is F_p in order, so the draws are randrange(p).  This is
+    the scalar reference on random.Random; draw_haar_streams is the batched
+    draw on numpy streams.
     """
     ctx, n, k = spec.ctx, spec.size, spec.ctx.k
-    if spec.family == "gl" and ctx.m == 1:
-        return (_sample_gl_blocks(spec, rng, count),
-                np.empty((count, 0, n * n), dtype=np.intp))
     spec1 = spec if k == 1 else spec.reduced(1)
     ctx1 = ctx.reduced_context(1)
     basis, pool = _lie_data(spec) if k > 1 else ((), ())
@@ -1010,55 +1019,6 @@ def _lift_level(spec, ctx, a, fiber):
     step = np.asarray(fiber, dtype=np.int64) * ctx.p ** (ctx.k - 1)
     step[..., range(spec.size), range(spec.size), 0] += 1
     return ctx.mat_mul(_section_batch(spec, ctx, a), step)
-
-
-# candidate n x n chunks drawn per block by sample_haar_batch for gl, m = 1;
-# it bounds the temporaries of member_mask, which set the peak memory
-_SAMPLE_BLOCK = 128
-
-
-def _sample_gl_blocks(spec, rng, count):
-    """sample_haar's stream for gl over m = 1, drawn in blocks of chunks.
-
-    Every draw of such a sample is rng.randrange(p), in chunks of n^2 read
-    as an n x n matrix: the rejected candidates, the accepted residue
-    sample, then one Lie fiber per level 2..k (gl's Lie basis is the unit
-    matrices in row-major order, so a fiber's combination is its chunk).
-    A block asks for no more chunks than the unfinished samples must still
-    use, so the stream stops exactly where the per-sample loop's does.
-    """
-    ctx, n, p, k = spec.ctx, spec.size, spec.ctx.p, spec.ctx.k
-    residue = GroupSpec("gl", n, ctx.reduced_context(1))
-    out = np.empty((count, n, n, 1), dtype=np.int64)
-    done = 0
-    # an accepted chunk whose fibers are not all drawn yet, and those fibers
-    pending = np.empty((0, n, n, 1), dtype=np.min_scalar_type(p - 1))
-    while done < count:
-        need = (count - done) * k - len(pending)
-        drawn = _randbelow_bulk(rng, p, min(_SAMPLE_BLOCK, need) * n * n)
-        drawn = drawn.reshape(-1, n, n, 1)
-        accept = np.concatenate([np.ones(len(pending), dtype=bool),
-                                 residue.member_mask(drawn)])
-        chunks = np.concatenate([pending, drawn])
-        starts = []
-        i = 0
-        while i < len(chunks) and done + len(starts) < count:
-            if not accept[i]:
-                i += 1
-            elif i + k <= len(chunks):
-                starts.append(i)
-                i += k
-            else:
-                break
-        pending = chunks[i:]
-        starts = np.array(starts, dtype=np.intp)
-        M = chunks[starts].astype(np.int64)
-        for level in range(2, k + 1):
-            M = _lift_level(spec, ctx.reduced_context(level), M,
-                            chunks[starts + level - 1])
-        out[done:done + len(M)] = M
-        done += len(M)
-    return out
 
 
 # below this many values _randbelow_bulk draws them by _randbelow_list: a

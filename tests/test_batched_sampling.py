@@ -4,7 +4,9 @@ The references here are the per-sample loops the batched paths replace:
 the Haar sampler one matrix at a time (its Hensel section and Lie fiber on
 `Matrix` arithmetic), traces from `Matrix` products, the inverse by
 Cayley-Hamilton on `Matrix` arithmetic, the Frobenius-corrected datum on
-`GRElem` arithmetic, and dict histograms of its key.
+`GRElem` arithmetic, and dict histograms of its key.  The harness's
+matrices are referenced shard by shard: each shard's numpy stream drawn
+alone (`draw_haar_streams`) and lifted.
 """
 
 import random
@@ -36,6 +38,7 @@ from padicmat.matrix_groups import (
     hensel_lift_section,
     inverse_batch,
     lie_algebra_basis,
+    lift_haar_batch,
     sample_fq,
     sample_haar,
     sample_haar_batch,
@@ -46,6 +49,7 @@ from padicmat.polynomials import (
     trace_data_batch,
     trace_datum_of,
 )
+from padicmat.streams import draw_haar_streams
 
 F3 = RingContext(3, 1, 1)
 F9 = RingContext(3, 2, 1)
@@ -254,9 +258,9 @@ def _reference_matrices(cfg):
         yield from enumerate_group(spec)
         return
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
-        rng = _shard_rng(cfg.seed, shard)
-        for _ in range(count):
-            yield sample_haar(spec, rng)
+        draws = draw_haar_streams(spec, [(_shard_rng(cfg.seed, shard), count)])
+        for a in lift_haar_batch(spec, *draws):
+            yield Matrix(spec.ctx, a)
 
 
 def _reference_report(cfg, cells, key):

@@ -6,7 +6,8 @@ one of them.  The references are the completion with one-shot reductions
 (_solve_affine_tab per column, _rref per candidate) on the same stream,
 det_batch, and the Gram matrix of each sample.  The
 harness lifts and extracts once per group of whole shards; the reference
-is one sample_haar_batch call per shard.
+is each shard drawn alone on its numpy stream (draw_haar_streams) and
+lifted.
 """
 
 import random
@@ -42,6 +43,7 @@ from padicmat.matrix_groups import (
     sample_fq,
     sample_haar_batch,
 )
+from padicmat.streams import draw_haar_streams
 
 F3 = RingContext(3, 1, 1)
 F5 = RingContext(5, 1, 1)
@@ -233,7 +235,8 @@ def _per_shard(cfg):
     spec = cfg.group_spec()
     for shard, count in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
         if count:
-            yield sample_haar_batch(spec, _shard_rng(cfg.seed, shard), count)
+            yield lift_haar_batch(spec, *draw_haar_streams(
+                spec, [(_shard_rng(cfg.seed, shard), count)]))
 
 
 def _one_shard_groups(cfg):

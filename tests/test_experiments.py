@@ -227,7 +227,7 @@ class TestReports:
         cfg = ExperimentConfig("gl", 2, 3, d2=1, samples=100, seed=2)
         rep = run_trace_equidistribution(cfg)
         d = json.loads(rep.to_json())
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == 2
         assert d["config"]["family"] == "gl"
         assert set(d) >= {"cell_count", "N", "tv", "noise", "pass",
                           "runtime_ms"}

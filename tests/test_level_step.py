@@ -1,6 +1,6 @@
 """One level step for every lift by a Lie fiber.
 
-The sampler's lift, gl's block sampler, the exact enumeration above the
+The sampler's lift, the exact enumeration above the
 residue level and the one-step fiber each multiply a section by
 I + p^{j-1} A1 through `matrix_groups._lift_level`; a counting wrapper
 records the level of every call.
@@ -23,6 +23,7 @@ from padicmat.matrix_groups import (
     enumerate_group,
     lift_haar_batch,
 )
+from padicmat.streams import draw_haar_streams
 
 Z9 = RingContext(3, 1, 2)
 Z27 = RingContext(3, 1, 3)
@@ -50,12 +51,17 @@ def test_lift_haar_batch_steps_once_per_level(steps):
     assert steps == [2, 3]
 
 
-def test_gl_blocks_step_once_per_level_and_block(steps):
-    # gl over m = 1 lifts each block of drawn chunks as it is drawn, and
-    # the drawn chunk is the fiber
-    a, _ = draw_haar_batch(GroupSpec("gl", 3, Z27), random.Random(2), 5)
-    assert len(a) == 5
-    assert steps and steps == [2, 3] * (len(steps) // 2)
+def test_gl_draws_take_no_step_and_the_lift_one_per_level(steps):
+    # gl over m = 1 draws like every family: residues and fiber indices,
+    # on random.Random or on numpy streams, and the lift steps once a level
+    spec = GroupSpec("gl", 3, Z27)
+    for a, idx in (draw_haar_batch(spec, random.Random(2), 5),
+                   draw_haar_streams(spec, [(np.random.default_rng(2), 5)])):
+        assert steps == [] and a.shape == (5, 3, 3, 1)
+        assert idx.shape == (5, 2, 9)
+        lift_haar_batch(spec, a, idx)
+        assert steps == [2, 3]
+        steps.clear()
 
 
 def test_enumeration_steps_above_the_residue_level_only(steps):

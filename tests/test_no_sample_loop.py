@@ -15,7 +15,10 @@ test_no_asserts.py does.  Polynomials follow the same rule one level
 down: `factor` and `radical` run on the int polynomial kernel in
 `galois_rings`, never on scalar GRElem arithmetic, and that kernel has no
 twin there.  The Hayes class group multiplies its labels on the same
-kernel, with no Poly or GRElem operator.
+kernel, with no Poly or GRElem operator.  The harness draws on per-shard
+numpy streams (`streams.draw_haar_streams`): no Monte-Carlo subcommand
+reaches the scalar sampler on `random.Random`, and `sample_haar_batch` is
+called only by `sample_haar`.
 """
 
 import ast
@@ -23,7 +26,7 @@ import pathlib
 
 import pytest
 
-from padicmat import galois_rings, polynomials
+from padicmat import cli, galois_rings, matrix_groups, polynomials
 from padicmat.galois_rings import GRElem, RingContext
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "padicmat"
@@ -148,3 +151,51 @@ def test_galois_rings_has_no_second_polynomial_kernel():
                 callers.add(node.name)
     assert callers == {"default_defining_poly", "__init__", "is_irreducible",
                        "_irreducibles_cached"}
+
+
+def test_sample_haar_batch_is_called_by_sample_haar_only():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if list(_uses(node, "sample_haar_batch")):
+                    callers.append((path.name, node.name))
+            elif isinstance(node, ast.ImportFrom) and list(
+                    _uses(node, "sample_haar_batch")):
+                callers.append((path.name, "import"))
+    assert callers == [("matrix_groups.py", "sample_haar")]
+
+
+# family, --n, --m, --sign: the CLI's Sp_{2n} convention for sp
+GUARDED = [("gl", 3, 1, 1), ("sl", 3, 1, 1), ("sp", 2, 1, 1), ("so", 3, 1, 1),
+           ("so", 3, 1, -1), ("u", 2, 2, 1)]
+
+
+@pytest.mark.parametrize("family,n,m,sign", GUARDED,
+                         ids=["%s%d%s" % (f, n, "+-"[s < 0] if f == "so"
+                                          else "") for f, n, _, s in GUARDED])
+def test_monte_carlo_runs_never_reach_the_scalar_sampler(
+        monkeypatch, capsys, family, n, m, sign):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar sampler ran")
+
+    for name in ("draw_haar_batch", "_draw_fq", "_sample_isometry",
+                 "_randbelow_bulk", "_randbelow_list"):
+        monkeypatch.setattr(matrix_groups, name, refuse)
+    flags = ["--family", family, "--n", str(n), "--p", "3", "--m", str(m),
+             "--sign", str(sign), "--seed", "11", "--samples", "40"]
+    runs = [["tv", "--k", "2", "--d", "1"], ["single-trace", "--k", "2",
+                                             "--r", "1"],
+            ["congruence", "--k", "2"], ["sample", "--k", "2"],
+            ["image-check", "--k", "1", "--samples", "5"]]
+    if family in ("gl", "sp"):
+        runs.append(["onestep", "--k", "2", "--d", "1", "--samples", "3"])
+    for argv in runs:
+        # a statistical verdict may go either way at 40 samples (exit 1);
+        # a draw from the scalar sampler raises through dispatch
+        assert cli.dispatch(argv[:1] + flags + argv[1:]) in (0, 1), argv
+    capsys.readouterr()
+    spec = matrix_groups.GroupSpec("gl", 2, galois_rings.RingContext(3, 1, 1))
+    with pytest.raises(AssertionError):
+        matrix_groups.sample_haar_batch(spec, None, 1)

@@ -1,7 +1,9 @@
 """Golden streams: sample_haar at fixed seeds returns fixed matrices.
 
 sample_haar_batch gives the same matrices on the same stream, in one batch
-or in uneven batches.
+or in uneven batches.  The batched draw on numpy streams
+(streams.draw_haar_streams) has goldens of its own: the first eight
+samples of shard 0 of each seed (experiments._shard_rng), lifted.
 
 Each digest is the SHA-256 prefix of the `encode()` lines of eight
 consecutive samples drawn from one `random.Random(seed)`.  A change to the
@@ -19,13 +21,17 @@ import random
 
 import pytest
 
+from padicmat.experiments import _shard_rng
 from padicmat.galois_rings import RingContext
 from padicmat.matrix_groups import (
     GroupSpec,
     Matrix,
+    encode_batch,
+    lift_haar_batch,
     sample_haar,
     sample_haar_batch,
 )
+from padicmat.streams import draw_haar_streams
 
 STREAMS = [
     # family, size, (p, m, k), sign, seed, digest
@@ -65,4 +71,27 @@ def test_sample_haar_batch_golden_stream(family, size, pmk, sign, seed,
     for count in batches:
         for a in sample_haar_batch(spec, rng, count):
             h.update(Matrix(spec.ctx, a).encode().encode() + b"\n")
+    assert h.hexdigest()[:32] == digest
+
+
+# the digests of draw_haar_streams on _shard_rng(seed, 0), in STREAMS order
+SHARD_DIGESTS = [
+    "ef8e98434ec2b9e68dab1c3bb27c3aea", "e5e9635ea506c0439ee05bd9be63d360",
+    "b57ce5b4b227fb451bbeacfd598d618b", "cf293a5ffd6f8f4806c6817028b4ba8f",
+    "ea470fd5c5f0e0fd5f995e36d14f8f2d", "33a040b2495f1680f71d1010bfe251c6",
+    "2270ec4b876142eeeeff6aee7fa9a4da", "325fb48cff1b5016136eee9598a3c8c8",
+    "afc3316ee6a286df9bd53798c292f70f",
+]
+
+
+@pytest.mark.parametrize("family,size,pmk,sign,seed,digest",
+                         [row[:5] + (d,)
+                          for row, d in zip(STREAMS, SHARD_DIGESTS)], ids=IDS)
+def test_shard_stream_golden(family, size, pmk, sign, seed, digest):
+    spec = GroupSpec(family, size, RingContext(*pmk), sign)
+    a = lift_haar_batch(spec, *draw_haar_streams(
+        spec, [(_shard_rng(seed, 0), 8)]))
+    h = hashlib.sha256()
+    for line in encode_batch(a):
+        h.update(line.encode() + b"\n")
     assert h.hexdigest()[:32] == digest
