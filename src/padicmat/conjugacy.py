@@ -22,8 +22,8 @@ from .char_derivative import WittClass
 from .galois_rings import RingContext
 from .matrix_groups import (
     char_poly_batch,
+    _field_arrays,
     _field_index,
-    _field_tables,
     _rank_batch,
 )
 from .polynomials import (
@@ -319,7 +319,7 @@ def class_census_gl(ctx, blocks):
     """
     if ctx.k != 1:
         raise ValueError("class data live at the residue level")
-    tab = _field_tables(ctx)
+    tab = _field_arrays(ctx)
     factored = {}  # char poly key -> its factorization, for this census
     counts = {}  # (char poly key, parts per prime) -> count
     for a in blocks:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conjugacy import class_census_gl, fulman_prob_gl
+from .conjugacy import class_census_gl, fulman_prob_gl, order_gl
 from .galois_rings import GRElem, RingContext
 from .matrix_groups import (
     GroupSpec,
@@ -37,12 +37,16 @@ from .matrix_groups import (
     min_poly_mod_p,
     _GROUP_ENTRIES,
     _fiber_table,
+    _field_index,
+    _field_tables,
     _lie_data,
     _lift_level,
 )
 from .polynomials import (
     _vp,
+    coeffs_to_traces,
     datum_value_count,
+    irreducible_polys,
     trace_data_batch,
 )
 from .streams import draw_haar_streams
@@ -97,7 +101,8 @@ class ExperimentConfig:
 
 class TVReport:
     def __init__(self, config, cell_count, n_samples, tv, noise,
-                 min_count, max_count, runtime_ms, extra=None, verdict=True):
+                 min_count, max_count, runtime_ms, extra=None, verdict=True,
+                 law_tv=None):
         self.config = config
         self.cell_count = cell_count
         self.n_samples = n_samples
@@ -108,16 +113,21 @@ class TVReport:
         self.runtime_ms = runtime_ms
         self.extra = extra or {}
         self.verdict = verdict
+        self.law_tv = law_tv
 
     @property
     def passed(self):
-        """The Monte-Carlo verdict tv < 2.5 noise.  None (and to_dict omits
-        pass) in exact mode, where the TV is the law's own and there is no
-        sampling noise to judge it (to_dict omits noise too), and without a
-        verdict: when the cells are not the family's value space."""
+        """The Monte-Carlo verdict tv < 2.5 noise, or law_tv < 2.5 noise
+        where the exact law is known: law_tv is the TV of the counts from
+        that law, and the expected TV of N samples of any law over the
+        cells is at most noise, uniform's.  None (and to_dict omits pass) in
+        exact mode, where the TV is the law's own and there is no sampling
+        noise to judge it (to_dict omits noise too), and without a verdict:
+        when the cells are not the family's value space."""
         if self.config.mode == "exact" or not self.verdict:
             return None
-        return float(self.tv) < 2.5 * self.noise
+        judged = self.tv if self.law_tv is None else self.law_tv
+        return float(judged) < 2.5 * self.noise
 
     def to_dict(self):
         out = {"schema_version": SCHEMA_VERSION,
@@ -171,17 +181,9 @@ def _shard_rng(seed, shard):
 def _shard_samples(spec, seed, shards):
     """The Haar samples of the shards [(shard, count), ...] of a seed, in
     shard order: one batched draw over their streams (draw_haar_streams),
-    lifted (lift_haar_batch) in passes of at most _GROUP_ENTRIES entries,
-    so that one large stream (sample, image-check) holds no larger lift
-    temporaries than a group of shards."""
-    a, idx = draw_haar_streams(
-        spec, [(_shard_rng(seed, shard), count) for shard, count in shards])
-    step = max(1, _GROUP_ENTRIES // (spec.size ** 2 * spec.ctx.m))
-    if len(a) <= step:
-        return lift_haar_batch(spec, a, idx)
-    return np.concatenate([lift_haar_batch(spec, a[i:i + step],
-                                           idx[i:i + step])
-                           for i in range(0, len(a), step)])
+    lifted at once (lift_haar_batch)."""
+    return lift_haar_batch(spec, *draw_haar_streams(
+        spec, [(_shard_rng(seed, shard), count) for shard, count in shards]))
 
 
 def _shard_sizes(total, shards):
@@ -383,8 +385,9 @@ def run_trace_equidistribution(cfg, workers=1):
                       {"occupied_cells": len(hist)})
 
 
-def _tv_report(cfg, start, cells, hist, extra):
-    """The TVReport of the counts hist over cells cells, timed from start.
+def _tv_report(cfg, start, cells, hist, extra, law_tv=None):
+    """The TVReport of the counts hist over cells cells, timed from start,
+    judged against the exact law where law_tv, their TV from it, is given.
     u and so data take fewer values than GL's cells (the cell counts are
     family-blind), so a verdict against those cells says nothing: for them
     value_space says so after extra, and there is no verdict."""
@@ -396,19 +399,96 @@ def _tv_report(cfg, start, cells, hist, extra):
     return TVReport(cfg, cells, n_samples, tv_to_uniform(hist, cells),
                     expected_tv_noise(cells, n_samples),
                     min(hist.values()), max(hist.values()),
-                    int((time.monotonic() - start) * 1000), extra, verdict)
+                    int((time.monotonic() - start) * 1000), extra, verdict,
+                    law_tv)
 
 
 def run_single_trace(cfg, r, workers=1):
     """TV of tr(M^r) over GR(p^k) from uniform; Monte-Carlo groups run on at
-    most workers processes."""
+    most workers processes.  A Monte-Carlo gl run with q^n at most
+    _TRACE_LAW_MAX is judged against the exact law of tr(M^r), which is not
+    uniform at small n; its report gives exact_tv, the law's TV from
+    uniform, and law_tv, the samples' TV from the law (_law_tvs)."""
     if r % cfg.p == 0:
         raise ValueError("p must not divide r")
     start = time.monotonic()
     ctx = cfg.context()
     cells = ctx.q ** ctx.k if ctx.m == 1 else ctx.mod ** ctx.m
-    return _tv_report(cfg, start, cells,
-                      _histogram(cfg, workers, _trace_cells, r), {})
+    hist = _histogram(cfg, workers, _trace_cells, r)
+    if (cfg.mode == "exact" or cfg.family != "gl"
+            or ctx.q ** cfg.n > _TRACE_LAW_MAX):
+        return _tv_report(cfg, start, cells, hist, {})
+    # M -> M^-1 keeps Haar measure, so tr(M^r) has the law of tr(M^|r|)
+    exact_tv, law_tv = _law_tvs(ctx, hist, _gl_trace_law(ctx.p, ctx.m,
+                                                         cfg.n, abs(r)))
+    return _tv_report(cfg, start, cells, hist, {
+        "exact_tv": float(exact_tv), "law_tv": float(law_tv)}, law_tv)
+
+
+# gl's single-trace verdict uses the exact law of tr(M^r) up to this q^n:
+# _gl_trace_law walks the primes of degree <= n, about q^n / n of them.
+# From a cold start it takes 8 ms at GL_5(F_3), 24 ms at GL_6(F_3) and
+# 92 ms at GL_3(F_9), nearly all of it in listing the primes
+_TRACE_LAW_MAX = 729
+
+
+@functools.lru_cache(maxsize=64)
+def _gl_trace_law(p, m, n, r):
+    """The exact law of tr(M^r), r >= 1 not divisible by p, for Haar M in
+    GL_n(F_q), q = p^m: a dict from the field-table index of each value
+    taken to its Fraction probability, shared by every caller (read only).
+
+    Pr[char M = f] is the product over the prime powers phi^e exactly
+    dividing f of q_phi^(e(e-1)) / |GL_e(F_q_phi)| (charpoly_prob_gl), with
+    q_phi = q^deg phi, and tr(M^r) is the sum of e s_r(phi), s_r(phi) the
+    r-th power sum of phi's roots.  So the law is the u^n coefficient of
+    the product over the primes phi != x of sum_e (that weight) u^(e deg
+    phi) [e s_r(phi)], over the group ring of F_q; it is built one prime at
+    a time, each degree j from the top, so that phi enters once.
+    """
+    ctx = RingContext(p, m, 1)
+    add, q = _field_tables(ctx).add, ctx.q
+    series = [{} for _ in range(n + 1)]  # degree -> value -> probability
+    series[0][0] = Fraction(1)
+    for d in range(1, n + 1):
+        weights = [Fraction(q ** (d * e * (e - 1)), order_gl(e, q ** d))
+                   for e in range(1, n // d + 1)]
+        for phi in irreducible_polys(ctx, d):
+            if phi.coeff(0).is_zero():
+                continue
+            s = int(_field_index(ctx, coeffs_to_traces(phi, r)[-1].coeffs))
+            for j in range(n - d, -1, -1):
+                for value, pr in series[j].items():
+                    t = value  # value + e s
+                    for e, w in enumerate(weights[:(n - j) // d], 1):
+                        t = add[t][s]
+                        cell = series[j + e * d]
+                        cell[t] = cell.get(t, 0) + pr * w
+    return series[n]
+
+
+def _law_tvs(ctx, hist, law):
+    """(exact_tv, law_tv) of the counts hist of tr(M^r) over ctx, p not
+    dividing r, and the law of its residue (_gl_trace_law): the law's TV
+    from uniform and the counts' TV from the law.
+
+    Over GR(p^k) the trace is uniform on the q^(k-1) lifts of its residue:
+    the lift M' (1 + p^(k-1) X) adds p^(k-1) r tr(M'^r X), and X -> tr(M'^r
+    X) is onto F_q for invertible M'.  So exact_tv is the residue law's TV
+    from uniform, and each cell has the law of its residue over q^(k-1).
+    """
+    q, spread, n = ctx.q, ctx.q ** (ctx.k - 1), sum(hist.values())
+    exact_tv = (sum(abs(pr - Fraction(1, q)) for pr in law.values())
+                + Fraction(q - len(law), q)) / 2
+    keys = np.frombuffer(b"".join(hist), dtype=np.int64).reshape(-1, ctx.m)
+    empty = {t: spread * pr for t, pr in law.items()}  # the cells not seen
+    total = Fraction(0)
+    for t, count in zip(_field_index(ctx, keys).tolist(), hist.values()):
+        pr = law.get(t, 0)
+        total += abs(Fraction(count, n) - pr / spread)
+        empty[t] = empty.get(t, 0) - pr
+    total += sum(empty.values()) / spread
+    return exact_tv, total / 2
 
 
 def run_trace_congruence(cfg, workers=1):

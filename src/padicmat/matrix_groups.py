@@ -696,12 +696,11 @@ def _rref(tab, rows):
 
 
 def _rank_batch(tab, a):
-    """Rank of each matrix of the (N, r, c) batch a of field-table indices
-    (see _field_tables): one forward elimination over the whole batch,
-    column by column, that keeps only the pivot counts; _rref is the
-    single-system elimination that returns the reduced rows."""
-    add, mul = np.asarray(tab.add), np.asarray(tab.mul)
-    neg, inv = np.asarray(tab.neg), np.asarray(tab.inv)
+    """Rank of each matrix of the (N, r, c) batch a of field-table indices,
+    with tab the context's _field_arrays: one forward elimination over the
+    whole batch, column by column, that keeps only the pivot counts; _rref
+    is the single-system elimination that returns the reduced rows."""
+    add, mul, neg, inv = tab.add, tab.mul, tab.neg, tab.inv
     a = np.array(a, dtype=np.intp)
     rank = np.zeros(len(a), dtype=np.intp)
     rows = np.arange(a.shape[1])

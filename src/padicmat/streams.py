@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .matrix_groups import (
+    GroupSpec,
     Matrix,
-    det_batch,
     _FIELD_TAB_MAX_Q,
     _GROUP_ENTRIES,
     _field_arrays,
@@ -117,15 +117,17 @@ def _invertible_mask(ctx, a):
     """Which matrices of the (N, n, n, m) batch a over the residue field ctx
     are invertible, in passes of at most _GROUP_ENTRIES entries.  Over
     m > 1, up to _FIELD_TAB_MAX_Q, the ranks (_rank_batch) on the field
-    tables decide; over F_p, and above that q, the determinant does: over
-    F_p it is plain int matrix products, which outrun the table lookups."""
+    tables decide; over F_p, and above that q, gl's member_mask does (the
+    determinant): over F_p it is plain int matrix products, which outrun
+    the table lookups."""
     n = a.shape[-3]
     step = max(1, _GROUP_ENTRIES // (n * n * ctx.m))
+    gl = GroupSpec("gl", n, ctx)
     out = []
     for start in range(0, len(a), step):
         block = a[start:start + step]
         if ctx.m == 1 or ctx.q > _FIELD_TAB_MAX_Q:
-            out.append(np.any(det_batch(ctx, block) % ctx.p, axis=-1))
+            out.append(gl.member_mask(block))
         else:
             out.append(_rank_batch(_field_arrays(ctx),
                                    _field_index(ctx, block)) == n)

@@ -9,11 +9,14 @@ matrices are referenced shard by shard: each shard's numpy stream drawn
 alone (`draw_haar_streams`) and lifted.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from padicmat.conjugacy import charpoly_prob_gl
 from padicmat.experiments import (
     ExperimentConfig,
     _shard_rng,
@@ -46,6 +49,7 @@ from padicmat.matrix_groups import (
 from padicmat.polynomials import (
     DivisibilityViolation,
     datum_value_count,
+    monic_polys,
     trace_data_batch,
     trace_datum_of,
 )
@@ -280,6 +284,41 @@ def _reference_report(cfg, cells, key):
     return report
 
 
+def _reference_law_fields(cfg, key, r, noise):
+    """exact_tv, law_tv and pass of a gl single-trace report, judged against
+    the exact law of tr(M^r): over F_q every char poly f, with probability
+    charpoly_prob_gl(f), gives tr(C_f^r) on its companion C_f, and each
+    value over GR(p^k) has its residue's probability over its q^(k-1)
+    lifts."""
+    ctx = cfg.context()
+    field = RingContext(ctx.p, ctx.m, 1)
+    law = {}
+    for f in monic_polys(field, cfg.n):
+        if f.coeff(0).is_zero():
+            continue
+        C = Matrix.from_rows(field, [
+            [field.one() if i == j + 1 else field.zero()
+             for j in range(cfg.n - 1)] + [-f.coeff(i)]
+            for i in range(cfg.n)])
+        neg, pos = _reference_traces(C, max(-r, 0), max(r, 0))
+        t = (pos or neg)[-1].coeffs.tobytes()
+        law[t] = law.get(t, 0) + charpoly_prob_gl(f)
+    q, spread = field.q, field.q ** (ctx.k - 1)
+    exact_tv = sum(abs(law.get(np.array(t).tobytes(), 0) - Fraction(1, q))
+                   for t in itertools.product(range(ctx.p), repeat=ctx.m))
+    hist = {}
+    for M in _reference_matrices(cfg):
+        hist[key(M)] = hist.get(key(M), 0) + 1
+    n = sum(hist.values())
+    law_tv = 0
+    for cell in itertools.product(range(ctx.mod), repeat=ctx.m):
+        cell = np.array(cell)
+        pr = law.get((cell % ctx.p).tobytes(), 0) / spread
+        law_tv += abs(Fraction(hist.get(cell.tobytes(), 0), n) - pr)
+    return {"exact_tv": float(exact_tv / 2), "law_tv": float(law_tv / 2),
+            "pass": float(law_tv / 2) < 2.5 * noise}
+
+
 def _fields(report):
     d = report.to_dict()
     del d["runtime_ms"]
@@ -331,6 +370,8 @@ def test_single_trace_matches_per_sample(family, n, ctx, r, samples, mode):
 
     want = _reference_report(cfg, cells, key)
     del want["occupied_cells"]
+    if family == "gl" and mode == "montecarlo":
+        want.update(_reference_law_fields(cfg, key, r, want["noise"]))
     got = _fields(run_single_trace(cfg, r))
     assert {f: got[f] for f in want} == want
     assert set(got) == set(want) | {"schema_version", "config"}

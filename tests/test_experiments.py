@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicmat.galois_rings import RingContext
@@ -10,9 +11,11 @@ from padicmat.matrix_groups import (
     enumerate_group,
     hensel_lift_section,
     lie_algebra_basis,
+    _field_index,
 )
 from padicmat.experiments import (
     ExperimentConfig,
+    TVReport,
     enumerate_lie_fq,
     expected_tv_noise,
     group_order_at_level,
@@ -24,6 +27,10 @@ from padicmat.experiments import (
     run_trace_congruence,
     run_trace_equidistribution,
     tv_to_uniform,
+    _gl_trace_law,
+    _histogram,
+    _law_tvs,
+    _trace_cells,
 )
 from padicmat.polynomials import Poly, hayes_label, x_poly
 from padicmat import cli
@@ -197,6 +204,46 @@ class TestSingleTrace:
         cfg = ExperimentConfig("gl", 6, 3, samples=4000, seed=5)
         rep = run_single_trace(cfg, 4)
         assert float(rep.tv) < 2.5 * rep.noise
+
+    @pytest.mark.parametrize("n,p,m,r", [
+        (1, 3, 1, 1), (2, 3, 1, 1), (3, 3, 1, 2), (3, 3, 1, -1),
+        (2, 5, 1, -2), (2, 3, 2, 2), (1, 3, 2, -1),
+    ])
+    def test_gl_trace_law_is_the_enumerated_law(self, n, p, m, r):
+        cfg = ExperimentConfig("gl", n, p, m=m, k=1, mode="exact")
+        hist = _histogram(cfg, 1, _trace_cells, r)
+        total = sum(hist.values())
+        want = {int(_field_index(cfg.context(), np.frombuffer(
+            key, dtype=np.int64))): Fraction(count, total)
+            for key, count in hist.items()}
+        # M -> M^-1 keeps Haar measure: tr(M^-r) has the law of tr(M^r)
+        assert _gl_trace_law(p, m, n, abs(r)) == want
+
+    def test_gl_is_judged_against_its_exact_law(self):
+        # tr(M^2) on GL_3 is 19/312 = 0.061 from uniform, while 2.5 noise
+        # at 20 000 samples is 0.021: against uniform every seed fails
+        cfg = ExperimentConfig("gl", 3, 3, k=2, samples=20000, seed=1)
+        rep = run_single_trace(cfg, 2).to_dict()
+        assert rep["exact_tv"] == float(Fraction(19, 312))
+        assert rep["tv"] > 2.5 * rep["noise"] > rep["law_tv"]
+        assert rep["pass"]
+
+    def test_counts_off_the_exact_law_fail(self):
+        # uniform counts are exact_tv from the law, above 2.5 noise
+        cfg = ExperimentConfig("gl", 3, 3, k=2, samples=18000, seed=1)
+        ctx = cfg.context()
+        hist = {np.array([t]).tobytes(): 2000 for t in range(9)}
+        exact_tv, law_tv = _law_tvs(ctx, hist, _gl_trace_law(3, 1, 3, 2))
+        assert exact_tv == law_tv == Fraction(19, 312)
+        rep = TVReport(cfg, 9, 18000, 0, expected_tv_noise(9, 18000), 2000,
+                       2000, 0, law_tv=law_tv)
+        assert rep.passed is False
+
+    def test_gl_above_the_law_cap_is_judged_against_uniform(self):
+        cfg = ExperimentConfig("gl", 7, 3, samples=200, seed=2)
+        rep = run_single_trace(cfg, 1).to_dict()
+        assert "law_tv" not in rep and "exact_tv" not in rep
+        assert rep["pass"] == (rep["tv"] < 2.5 * rep["noise"])
 
     def test_trace_p_minus_frobenius_multiple_of_p(self):
         # tr(M^p) - sigma(tr(M)) is always divisible by p

@@ -110,14 +110,6 @@ def test_a_shard_draws_the_same_in_any_group(family, n, pmk, sign, samples):
         assert np.array_equal(a, alone[shard])
 
 
-def test_a_large_stream_lifts_in_passes_as_in_one():
-    # 700 GL_5(GR(27)) samples hold 17 500 entries: two lift passes
-    spec = GroupSpec("gl", 5, GR27)
-    want = lift_haar_batch(spec, *draw_haar_streams(
-        spec, [(_shard_rng(4, 0), 700)]))
-    assert np.array_equal(_shard_samples(spec, 4, [(0, 700)]), want)
-
-
 def test_a_stream_of_no_samples_draws_nothing():
     spec = GroupSpec("so", 3, RingContext(3, 1, 2), 1)
     gens = [np.random.default_rng(s) for s in range(3)]

@@ -50,39 +50,24 @@ RUNS = {
     "congruence-u2": ["congruence"] + _flags("u", 2, m=2, samples=2100),
 }
 
-# The runs whose verdict fails, so that they exit 1 at every worker count.
-# tr(M^2) on GL_3 is not uniform: its exact TV is 0.0609, near the threshold
-# 2.5 noise = 0.0686 at 1900 samples, so the verdict is a coin flip over
-# seeds; at seed 7 this run reads 0.0777.  Every other run exits 0.
-FAILED_VERDICTS = {"single-gl3-r2"}
-
-
-def _run(argv, path):
-    """The exit code of argv and its --out report, with the run time taken
-    out."""
-    code = cli.dispatch(argv + ["--out", str(path)])
-    return code, re.sub(r'"runtime_ms": \d+', '"runtime_ms": -',
-                        path.read_text())
-
 
 def _report(argv, path):
-    """The --out report of argv, which must exit 0."""
-    code, text = _run(argv, path)
-    assert code == 0
-    return text
+    """The --out report of argv, with the run time taken out."""
+    assert cli.dispatch(argv + ["--out", str(path)]) == 0
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": -',
+                  path.read_text())
 
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """Every run's exit code and report at --workers 1, 2 and 3, one worker
-    count at a time so that each pool is built once; the pool is shut down
-    after."""
+    """Every run's report at --workers 1, 2 and 3, one worker count at a
+    time so that each pool is built once; the pool is shut down after."""
     out = tmp_path_factory.mktemp("reports") / "report.json"
     texts = {}
     try:
         for workers in ("1", "2", "3"):
             for name, argv in RUNS.items():
-                texts[name, workers] = _run(
+                texts[name, workers] = _report(
                     argv + ["--workers", workers], out)
             if workers != "1":
                 assert experiments._POOL[0] == int(workers)
@@ -103,9 +88,6 @@ def test_reports_do_not_depend_on_the_worker_count(reports, name):
                                  trace_shape=RUNS[name][0] == "tv")
     assert len(experiments._shard_groups(cfg)) > 1
     assert reports[name, "1"] == reports[name, "2"] == reports[name, "3"]
-    code, text = reports[name, "1"]
-    assert code == (1 if name in FAILED_VERDICTS else 0)
-    assert ('"pass": false' in text) == (code == 1)
 
 
 @pytest.fixture
